@@ -31,6 +31,17 @@ def _require_finite(**values: float) -> None:
             raise ValidationError(f"{name} must be finite, got {v!r}")
 
 
+def _capital_factor(elasticity: float, gross_return: float) -> float:
+    """((1-lam)/gross_return)^(1/lam), the capital per labor at T = 1."""
+    try:
+        return ((1.0 - elasticity) / gross_return) ** (1.0 / elasticity)
+    except OverflowError:
+        raise ValidationError(
+            f"capital per labor ((1-lam)/gr)^(1/lam) overflows at "
+            f"lam = {elasticity!r}, gr = {gross_return!r}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class SectorParams:
     """One production sector: output elasticity, depreciation, productivity."""
@@ -94,10 +105,15 @@ class EconomySpec:
         if self.numeraire != "wage-equals-one":
             raise ValidationError(f"unknown numeraire rule {self.numeraire!r}")
         for s in self.sectors:
-            if self.rate_of_return + s.depreciation <= 0.0:
+            gr = self.rate_of_return + s.depreciation
+            if gr <= 0.0:
                 raise ValidationError(
                     f"sector {s.name}: gross return R_c + delta must be > 0"
                 )
+            try:
+                _capital_factor(s.elasticity, gr)
+            except ValidationError as exc:
+                raise ValidationError(f"sector {s.name}: {exc}") from None
 
     def gross_return(self, sector: SectorParams) -> float:
         return self.rate_of_return + sector.depreciation
@@ -137,7 +153,7 @@ def solve_capital_per_labor(
         raise ValidationError("gross_return must be > 0")
     if productivity == 0.0:
         return 0.0
-    return productivity * ((1.0 - elasticity) / gross_return) ** (1.0 / elasticity)
+    return productivity * _capital_factor(elasticity, gross_return)
 
 
 def output_per_labor(productivity: float, elasticity: float, k: float) -> float:

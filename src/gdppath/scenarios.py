@@ -10,15 +10,24 @@ endpoint.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
-from .equilibrium import EconomySpec, SectorParams, solve_equilibrium
+from .equilibrium import (
+    EconomySpec,
+    SectorParams,
+    equilibrium_output_per_labor,
+    solve_equilibrium,
+)
 from .errors import CalibrationError, InfeasibleAllocationError, ValidationError
-from .indexes import IndexMethod, PricedPanel, real_growth
+from .indexes import PricedPanel
 
 START_YEAR = 1900
 END_YEAR = 1998
 T_END = 18.93
+# Upper end of the constant-rate bracket's doubling search: 1000% a year.
+MAX_CALIBRATED_RATE = 10.0
 
 ISLAND_RULES = ("north", "middle", "south")
 
@@ -190,37 +199,58 @@ def _bisect(f, lo: float, hi: float, tol: float, max_iter: int = 200) -> float:
             hi, f_hi = mid, f_mid
         else:
             lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    raise CalibrationError(
+        f"bisection did not converge in {max_iter} steps: "
+        f"root in [{lo!r}, {hi!r}], wider than {tol}"
+    )
 
 
 def _constant_growth_multipliers(
     rate: float, mult_b: float, years: int, spec: EconomySpec
 ) -> list[float]:
     """Per-year sector-A multipliers that hold the measured one-step
-    Laspeyres growth at ``rate`` along the whole schedule."""
+    Laspeyres growth at ``rate`` along the whole schedule.
+
+    At fixed T_B, equilibrium output per labor is linear in T_A, so with
+    u = y_A(T_A) and D = lam_A + omega*lam_B the next year's outputs are
+    Y_A(m) = (L_t/D)(lam_A*u*m + omega*lam_B*N0) and
+    Y_B(m) = (L_t/D)*omega*lam_B*y_B*(1 - N0/(u*m)).  Valued at this year's
+    prices, p_A*Y_A + p_B*Y_B = (1 + rate)*V is the quadratic
+    a*m^2 + b*m + c = 0 with a > 0 and c <= 0, whose one non-negative root is
+    taken in cancellation-free form.
+    """
     t_a, t_b = 1.0, 1.0
-    eq = solve_equilibrium(spec, (t_a, t_b))
+    eq = solve_equilibrium(spec, (t_a, t_b))  # rejects all but two sectors
+    sec_a, sec_b = spec.sectors
+    c_a = equilibrium_output_per_labor(1.0, sec_a.elasticity,
+                                       spec.gross_return(sec_a))
+    c_b = equilibrium_output_per_labor(1.0, sec_b.elasticity,
+                                       spec.gross_return(sec_b))
+    scale = spec.total_labor / (sec_a.elasticity + spec.omega * sec_b.elasticity)
+    w_b = scale * spec.omega * sec_b.elasticity
+    n0 = spec.subsistence
     multipliers = []
     for _ in range(years):
         t_b_next = t_b * mult_b
-        base_prices = eq.prices
-        base_value = sum(p * q for p, q in zip(base_prices, eq.outputs))
-
-        def growth_gap(m: float) -> float:
-            eq_next = solve_equilibrium(spec, (t_a * m, t_b_next))
-            value = sum(p * q for p, q in zip(base_prices, eq_next.outputs))
-            return value / base_value - 1.0 - rate
-
+        p_a, p_b = eq.prices
+        base_value = p_a * eq.outputs[0] + p_b * eq.outputs[1]
+        u = c_a * t_a
+        y_b = c_b * t_b_next
+        a = p_a * scale * sec_a.elasticity * u
+        b = w_b * (p_a * n0 + p_b * y_b) - (1.0 + rate) * base_value
+        c = -p_b * w_b * y_b * n0 / u
+        q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+        m_star = q / a if q > 0.0 else (c / q if q else 0.0)
         # When sector B's growth alone already beats the candidate rate, the
         # root sits below the unit multiplier; clamp there and let the outer
         # bisection raise the rate (the endpoint will come out short).
-        lo = 1.0 + 1e-12
-        if growth_gap(lo) >= 0.0:
-            m_star = lo
-        else:
-            m_star = _bisect(growth_gap, lo, 3.0, tol=1e-13)
+        m_star = max(m_star, 1.0 + 1e-12)
         multipliers.append(m_star)
         t_a *= m_star
+        if t_a == math.inf:
+            raise CalibrationError(
+                f"sector A productivity overflows at rate {rate!r}"
+            )
         t_b = t_b_next
         eq = solve_equilibrium(spec, (t_a, t_b))
     return multipliers
@@ -235,9 +265,14 @@ def calibrate_constant_growth(
     """Find a schedule whose measured Laspeyres growth is the same every year.
 
     Sector B grows uniformly at target_t_end^(1/years); each year's sector-A
-    multiplier is bisected so the measured growth equals a candidate rate,
-    and an outer bisection on the rate pins sector A's endpoint at
-    ``target_t_end``.  Returns the schedule and the achieved constant rate.
+    multiplier is the closed-form root that makes the measured growth equal a
+    candidate rate, and an outer bisection on the rate pins sector A's
+    endpoint at ``target_t_end``.  The rate bracket is [1e-4, 0.15]; its upper
+    end doubles while it still falls short, up to ``MAX_CALIBRATED_RATE``.
+    Returns the schedule and the achieved constant rate.  Raises
+    ``CalibrationError`` when no rate in the bracket reaches the target, the
+    bisection does not converge, or sector A's endpoint misses the target by
+    more than 1e-9 relative.
     """
     if years < 1:
         raise ValidationError("years must be >= 1")
@@ -246,6 +281,7 @@ def calibrate_constant_growth(
     economy = spec if spec is not None else default_spec()
     mult_b = target_t_end ** (1.0 / years)
 
+    @functools.lru_cache(maxsize=None)
     def endpoint_gap(rate: float) -> float:
         mults = _constant_growth_multipliers(rate, mult_b, years, economy)
         t_end = 1.0
@@ -253,12 +289,26 @@ def calibrate_constant_growth(
             t_end *= m
         return t_end - target_t_end
 
-    rate = _bisect(endpoint_gap, 1e-4, 0.15, tol=1e-12)
+    hi = 0.15
+    while endpoint_gap(hi) < 0.0:
+        hi *= 2.0
+        if hi > MAX_CALIBRATED_RATE:
+            raise CalibrationError(
+                f"no constant rate up to {hi / 2.0} reaches the endpoint "
+                f"{target_t_end}"
+            )
+    rate = _bisect(endpoint_gap, 1e-4, hi, tol=1e-12)
     multipliers = _constant_growth_multipliers(rate, mult_b, years, economy)
     values_a, values_b = [1.0], [1.0]
     for m in multipliers:
         values_a.append(values_a[-1] * m)
         values_b.append(values_b[-1] * mult_b)
+    # Written so that a NaN endpoint counts as a miss.
+    if not abs(values_a[-1] - target_t_end) <= 1e-9 * target_t_end:
+        raise CalibrationError(
+            f"calibrated rate {rate!r} ends sector A at {values_a[-1]!r}, "
+            f"missing the target {target_t_end!r} by more than 1e-9 relative"
+        )
     schedule = ProductivitySchedule(
         start_year=start_year,
         end_year=start_year + years,
@@ -269,12 +319,3 @@ def calibrate_constant_growth(
     )
     return schedule, rate
 
-
-def measured_rates(
-    scenario: IslandScenario, method: IndexMethod = IndexMethod.LASPEYRES
-) -> tuple[float, ...]:
-    """One-step real growth rates of the scenario's simulated panel."""
-    panel = generate_panel(scenario)
-    return tuple(
-        real_growth(panel, step, method) for step in range(panel.n_periods - 1)
-    )

@@ -44,6 +44,15 @@ class TestSimulate:
         assert code == 3
         assert "infeasib" in err
 
+    def test_overflowing_elasticity_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny_lambda.cfg"
+        cfg.write_text("lambda_A = 0.001\n")
+        code, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("data error: sector A:")
+
 
 class TestGrowthCommands:
     def test_growth_china(self, tmp_path, capsys):

@@ -36,6 +36,11 @@ class TestCapitalPerLabor:
     def test_zero_productivity(self):
         assert solve_capital_per_labor(0.0, LAM, GR) == 0.0
 
+    def test_overflow_is_validation_error(self):
+        # ((1-lam)/gr)^(1/lam) = 9.08^1000 is beyond the float range.
+        with pytest.raises(ValidationError, match="overflows"):
+            solve_capital_per_labor(1.0, 0.001, GR)
+
     def test_linear_in_productivity(self):
         k1 = solve_capital_per_labor(1.0, LAM, GR)
         k = solve_capital_per_labor(18.93, LAM, GR)
@@ -296,6 +301,20 @@ class TestSpecValidation:
                 sectors=(SectorParams("A", 0.5, 0.05),),
                 total_labor=100.0,
                 rate_of_return=0.05,
+                subsistence=0.0,
+                omega=1.0,
+            )
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_overflowing_capital_names_sector(self, bad):
+        sectors = [SectorParams("A", LAM, 0.055), SectorParams("B", LAM, 0.055)]
+        sectors[bad] = SectorParams(sectors[bad].name, 0.001, 0.055)
+        with pytest.raises(ValidationError,
+                           match=f"sector {sectors[bad].name}: .*overflows"):
+            EconomySpec(
+                sectors=tuple(sectors),
+                total_labor=100.0,
+                rate_of_return=0.055,
                 subsistence=0.0,
                 omega=1.0,
             )

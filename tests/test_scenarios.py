@@ -3,6 +3,7 @@ import math
 import pytest
 
 from gdppath import (
+    CalibrationError,
     EconomySpec,
     IndexMethod,
     InfeasibleAllocationError,
@@ -17,6 +18,9 @@ from gdppath import (
     island_scenario,
     solve_equilibrium,
 )
+from gdppath.scenarios import _bisect, _constant_growth_multipliers
+
+from conftest import bisect_root
 
 
 def raw_product(multiplier_fn, n_steps=98):
@@ -167,6 +171,143 @@ class TestCalibration:
             calibrate_constant_growth(years=0)
         with pytest.raises(ValidationError):
             calibrate_constant_growth(target_t_end=0.5)
+
+
+CLAMP = 1.0 + 1e-12
+
+# A non-default economy without a subsistence floor, so the quadratic's
+# constant term is zero.
+NO_FLOOR_SPEC = EconomySpec(
+    sectors=(SectorParams("A", 0.6, 0.04), SectorParams("B", 0.75, 0.07)),
+    total_labor=50_000.0,
+    rate_of_return=0.05,
+    subsistence=0.0,
+    omega=3.0,
+)
+
+
+def bisection_multipliers(rate, mult_b, years, spec, tol=1e-15):
+    """The per-year solve before the closed form: bisect each year's
+    Laspeyres growth gap in the sector-A multiplier over [clamp, 3]."""
+    t_a, t_b = 1.0, 1.0
+    eq = solve_equilibrium(spec, (t_a, t_b))
+    multipliers = []
+    for _ in range(years):
+        t_b_next = t_b * mult_b
+        prices = eq.prices
+        base = sum(p * q for p, q in zip(prices, eq.outputs))
+
+        def growth_gap(m):
+            nxt = solve_equilibrium(spec, (t_a * m, t_b_next))
+            value = sum(p * q for p, q in zip(prices, nxt.outputs))
+            return value / base - 1.0 - rate
+
+        if growth_gap(CLAMP) >= 0.0:
+            m = CLAMP
+        else:
+            m = bisect_root(growth_gap, CLAMP, 3.0, tol=tol)
+        multipliers.append(m)
+        t_a *= m
+        t_b = t_b_next
+        eq = solve_equilibrium(spec, (t_a, t_b))
+    return multipliers
+
+
+def nested_bisection_rate(target, years):
+    """The whole calibration before the closed form: an outer bisection on
+    the rate over the per-year bisection oracle, at the old tolerances."""
+    mult_b = target ** (1.0 / years)
+    return bisect_root(
+        lambda r: math.prod(
+            bisection_multipliers(r, mult_b, years, default_spec(), tol=1e-13)
+        ) - target,
+        1e-4, 0.15, tol=1e-12,
+    )
+
+
+def assert_constant_laspeyres(schedule, rate, target):
+    assert schedule.values_a[-1] == pytest.approx(target, rel=1e-9)
+    assert schedule.values_b[-1] == pytest.approx(target, rel=1e-9)
+    panel = generate_panel(
+        IslandScenario("constant", default_spec(), schedule)
+    )
+    for measured in growth_series(panel, IndexMethod.LASPEYRES).rates:
+        assert measured == pytest.approx(rate, abs=1e-12)
+
+
+class TestClosedFormMultipliers:
+    @pytest.mark.parametrize(
+        "spec,rate,mult_b,years",
+        [
+            (default_spec(), 0.001, 18.93 ** (1 / 98), 98),  # every year clamped
+            (default_spec(), 0.0305, 18.93 ** (1 / 98), 98),
+            (default_spec(), 0.12, 18.93 ** (1 / 98), 98),
+            (NO_FLOOR_SPEC, 0.05, 1.08, 20),  # every year clamped
+            (NO_FLOOR_SPEC, 0.07, 1.08, 20),
+        ],
+    )
+    def test_matches_bisection_oracle(self, spec, rate, mult_b, years):
+        got = _constant_growth_multipliers(rate, mult_b, years, spec)
+        want = bisection_multipliers(rate, mult_b, years, spec)
+        assert len(got) == years
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "target,years", [(1.0305**10, 10), (2.0, 10), (1.05**8, 8)]
+    )
+    def test_same_rate_as_nested_bisection(self, target, years):
+        _, rate = calibrate_constant_growth(target, years)
+        assert rate == nested_bisection_rate(target, years)
+
+    def test_cli_default_rate(self):
+        # The rate the nested bisection gave before the closed form.
+        assert calibrate_constant_growth()[1] == 0.03046239871955931
+
+
+class TestCalibrationBracket:
+    @pytest.mark.parametrize("target,years", [(8.0, 10), (18.93, 10)])
+    def test_rate_above_initial_bracket(self, target, years):
+        schedule, rate = calibrate_constant_growth(target, years)
+        assert rate > 0.15
+        assert_constant_laspeyres(schedule, rate, target)
+
+    def test_unreachable_target_gives_up(self):
+        with pytest.raises(CalibrationError, match="no constant rate up to"):
+            calibrate_constant_growth(1e300, 1)
+
+    def test_sector_a_overflow(self):
+        # A tiny sector-A value share needs huge multipliers at the upper
+        # end of the bracket, and sector A's productivity overflows.
+        spec = EconomySpec(
+            sectors=default_spec().sectors,
+            total_labor=100_000.0,
+            rate_of_return=0.055,
+            subsistence=1.0,
+            omega=1e5,
+        )
+        with pytest.raises(CalibrationError, match="overflows"):
+            calibrate_constant_growth(18.93, 98, spec)
+
+
+class TestNoSilentResults:
+    def test_bisect_raises_when_out_of_steps(self):
+        with pytest.raises(CalibrationError, match="did not converge"):
+            _bisect(lambda x: x - 0.3, 0.0, 1.0, tol=1e-12, max_iter=10)
+
+    def test_endpoint_miss_raises(self):
+        # With no subsistence floor and omega = 1e4, sector A holds about
+        # 1e-4 of the value, so the 1e-12 rate tolerance moves sector A's
+        # endpoint by more than 1e-9 relative.
+        spec = EconomySpec(
+            sectors=default_spec().sectors,
+            total_labor=100_000.0,
+            rate_of_return=0.055,
+            subsistence=0.0,
+            omega=1e4,
+        )
+        with pytest.raises(CalibrationError, match="missing the target"):
+            calibrate_constant_growth(2.0, 10, spec)
 
 
 class TestIslandAverages:
