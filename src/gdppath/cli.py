@@ -16,7 +16,12 @@ from .errors import (
     InfeasibleAllocationError,
     ModelError,
 )
-from .gap import model_catchup, naive_catchup, perspective_report
+from .gap import (
+    REFERENCE_RULES,
+    model_catchup,
+    naive_catchup,
+    perspective_report,
+)
 from .indexes import (
     IndexMethod,
     PricedPanel,
@@ -25,7 +30,6 @@ from .indexes import (
     path_integral_gdp,
 )
 from .panel_io import (
-    GENERAL,
     PANEL_MODES,
     PAPER_COMPAT,
     read_panel,
@@ -35,6 +39,7 @@ from .panel_io import (
 )
 from .scenarios import (
     ISLAND_RULES,
+    START_YEAR,
     IslandScenario,
     calibrate_constant_growth,
     default_spec,
@@ -86,7 +91,8 @@ def _emit(text: str, out: str | None) -> None:
 def _add_panel_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--panel", required=True, help="panel CSV file")
     p.add_argument("--format", choices=PANEL_MODES, default=PAPER_COMPAT)
-    p.add_argument("--start-year", type=int, default=1900, dest="start_year",
+    p.add_argument("--start-year", type=int, default=START_YEAR,
+                   dest="start_year",
                    help="first year for headerless paper-compat files")
 
 
@@ -133,10 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("GDP_SMALL", "GDP_BIG", "G_SMALL", "G_BIG"))
     p.add_argument("--small", help="small economy panel CSV")
     p.add_argument("--big", help="big economy panel CSV")
-    p.add_argument("--rule", choices=("common-prices", "own-nominal"),
-                   default="common-prices")
+    p.add_argument("--rule", choices=REFERENCE_RULES, default="common-prices")
     p.add_argument("--format", choices=PANEL_MODES, default=PAPER_COMPAT)
-    p.add_argument("--start-year", type=int, default=1900, dest="start_year")
+    p.add_argument("--start-year", type=int, default=START_YEAR,
+                   dest="start_year")
 
     p = sub.add_parser("demo",
                        help="regenerate island panels and figure data files")
@@ -210,27 +216,24 @@ def _cmd_catchup(args: argparse.Namespace) -> int:
 def _cmd_demo(args: argparse.Namespace) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    panels = {}
+    panels, laspeyres = {}, {}
     for rule in ISLAND_RULES:
         panel = generate_panel(island_scenario(rule))
         panels[rule] = panel
         (outdir / f"gdp{rule}.csv").write_text(write_panel(panel))
     for rule, panel in panels.items():
-        series = growth_series(panel, IndexMethod.LASPEYRES)
+        series = laspeyres[rule] = growth_series(panel, IndexMethod.LASPEYRES)
         (outdir / f"fig1a_{rule}.csv").write_text(write_growth_series(series))
         avg_lines = [
             f"{label},{avg:.17g}"
             for label, avg in zip(series.step_labels, series.running_average)
         ]
         (outdir / f"fig1b_{rule}.csv").write_text("\n".join(avg_lines) + "\n")
-    north = panels["north"]
-    laspeyres = growth_series(north, IndexMethod.LASPEYRES)
-    paasche = growth_series(north, IndexMethod.PAASCHE)
+    north = laspeyres["north"]
+    paasche = growth_series(panels["north"], IndexMethod.PAASCHE)
     fig2 = [
         f"{label},{gl:.17g},{gp:.17g}"
-        for label, gl, gp in zip(
-            laspeyres.step_labels, laspeyres.rates, paasche.rates
-        )
+        for label, gl, gp in zip(north.step_labels, north.rates, paasche.rates)
     ]
     (outdir / "fig2_north.csv").write_text("\n".join(fig2) + "\n")
     print(f"wrote demo files to {outdir}")

@@ -92,8 +92,8 @@ def common_price_valuations(
         if not math.isfinite(p) or p <= 0.0:
             raise ValidationError("reference prices must be positive")
     return tuple(
-        sum(p * q for p, q in zip(reference_prices, panel.quantities(i)))
-        for i in range(panel.n_periods)
+        sum(p * q for p, (q, _) in zip(reference_prices, period))
+        for period in panel.periods
     )
 
 

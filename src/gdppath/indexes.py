@@ -127,8 +127,48 @@ def nominal_growth(panel: PricedPanel, step: int) -> float:
     return nominal_gdp(panel, step + 1) / base - 1.0
 
 
-def _basket_value(prices, quantities) -> float:
-    return sum(p * q for p, q in zip(prices, quantities))
+def _step_sums(period0, period1) -> tuple[float, float, float, float]:
+    """The four basket values of one step: p0·q0, p0·q1, p1·q0 and p1·q1,
+    each summed over sectors from left to right."""
+    v00 = v01 = v10 = v11 = 0.0
+    for (q0, p0), (q1, p1) in zip(period0, period1):
+        v00 += p0 * q0
+        v01 += p0 * q1
+        v10 += p1 * q0
+        v11 += p1 * q1
+    return v00, v01, v10, v11
+
+
+def _step_growth(period0, period1, method: IndexMethod, step: int) -> float:
+    """Quantity growth from ``period0`` to ``period1``; ``step`` only names
+    the earlier period in error messages."""
+    if method is IndexMethod.TORNQVIST:
+        if any(q <= 0.0 for period in (period0, period1) for q, _ in period):
+            raise MethodDomainError(
+                "Tornqvist requires strictly positive quantities"
+            )
+        gdp0, _, _, gdp1 = _step_sums(period0, period1)
+        log_index = 0.0
+        for (q0, p0), (q1, p1) in zip(period0, period1):
+            share = 0.5 * (p0 * q0 / gdp0 + p1 * q1 / gdp1)
+            log_index += share * math.log(q1 / q0)
+        return math.exp(log_index) - 1.0
+    v00, v01, v10, v11 = _step_sums(period0, period1)
+    if method is IndexMethod.LASPEYRES:
+        if v00 <= 0.0:
+            raise DegenerateBaseError(f"zero base value at period {step}")
+        return v01 / v00 - 1.0
+    if method is IndexMethod.PAASCHE:
+        if v10 <= 0.0:
+            raise DegenerateBaseError(f"zero base value at period {step}")
+        return v11 / v10 - 1.0
+    if method is IndexMethod.FISHER:
+        if v00 <= 0.0 or v10 <= 0.0:
+            raise DegenerateBaseError(f"zero base value at period {step}")
+        g_l = v01 / v00 - 1.0
+        g_p = v11 / v10 - 1.0
+        return math.sqrt((1.0 + g_l) * (1.0 + g_p)) - 1.0
+    raise ValidationError(f"unknown index method {method!r}")
 
 
 def real_growth(panel: PricedPanel, step: int, method: IndexMethod) -> float:
@@ -139,34 +179,9 @@ def real_growth(panel: PricedPanel, step: int, method: IndexMethod) -> float:
     log quantity changes by mean expenditure shares.
     """
     _check_step(panel, step)
-    q0, q1 = panel.quantities(step), panel.quantities(step + 1)
-    p0, p1 = panel.prices(step), panel.prices(step + 1)
-    if method is IndexMethod.LASPEYRES:
-        base = _basket_value(p0, q0)
-        if base <= 0.0:
-            raise DegenerateBaseError(f"zero base value at period {step}")
-        return _basket_value(p0, q1) / base - 1.0
-    if method is IndexMethod.PAASCHE:
-        base = _basket_value(p1, q0)
-        if base <= 0.0:
-            raise DegenerateBaseError(f"zero base value at period {step}")
-        return _basket_value(p1, q1) / base - 1.0
-    if method is IndexMethod.FISHER:
-        g_l = real_growth(panel, step, IndexMethod.LASPEYRES)
-        g_p = real_growth(panel, step, IndexMethod.PAASCHE)
-        return math.sqrt((1.0 + g_l) * (1.0 + g_p)) - 1.0
-    if method is IndexMethod.TORNQVIST:
-        if any(q <= 0.0 for q in q0 + q1):
-            raise MethodDomainError(
-                "Tornqvist requires strictly positive quantities"
-            )
-        gdp0, gdp1 = _basket_value(p0, q0), _basket_value(p1, q1)
-        log_index = 0.0
-        for a in range(len(q0)):
-            share = 0.5 * (p0[a] * q0[a] / gdp0 + p1[a] * q1[a] / gdp1)
-            log_index += share * math.log(q1[a] / q0[a])
-        return math.exp(log_index) - 1.0
-    raise ValidationError(f"unknown index method {method!r}")
+    return _step_growth(
+        panel.periods[step], panel.periods[step + 1], method, step
+    )
 
 
 def inflation(panel: PricedPanel, step: int, method: IndexMethod) -> float:
@@ -193,25 +208,30 @@ def growth_series(
         raise InsufficientDataError("growth needs at least two periods")
     if values is not None and len(values) != panel.n_periods:
         raise ValidationError("one valuation per period required")
-    rates = []
-    for step in range(panel.n_periods - 1):
-        if values is None:
-            if method is None:
-                raise ValidationError("an index method is required")
-            rates.append(real_growth(panel, step, method))
-        else:
+    if values is None:
+        if method is None:
+            raise ValidationError("an index method is required")
+        periods = panel.periods
+        rates = [
+            _step_growth(period0, period1, method, step)
+            for step, (period0, period1) in enumerate(zip(periods, periods[1:]))
+        ]
+    else:
+        rates = []
+        for step in range(panel.n_periods - 1):
             if values[step] <= 0.0:
                 raise DegenerateBaseError(f"zero valuation at period {step}")
             rates.append(values[step + 1] / values[step] - 1.0)
     chained, averages = [], []
-    level = 1.0
+    level, total = 1.0, 0.0
     for j, rate in enumerate(rates):
         level *= 1.0 + rate
         chained.append(level)
         if geometric_average:
             averages.append(level ** (1.0 / (j + 1)) - 1.0)
         else:
-            averages.append(sum(rates[: j + 1]) / (j + 1))
+            total += rate
+            averages.append(total / (j + 1))
     return GrowthSeries(
         method=method if values is None else None,
         rates=tuple(rates),
@@ -248,9 +268,8 @@ def path_integral_gdp(path: PricedPanel) -> float:
     if path.n_periods < 2:
         raise InsufficientDataError("path integral needs at least two points")
     total = 0.0
-    for step in range(path.n_periods - 1):
-        q0, q1 = path.quantities(step), path.quantities(step + 1)
-        p0, p1 = path.prices(step), path.prices(step + 1)
-        for a in range(len(q0)):
-            total += 0.5 * (p0[a] + p1[a]) * (q1[a] - q0[a])
+    periods = path.periods
+    for period0, period1 in zip(periods, periods[1:]):
+        for (q0, p0), (q1, p1) in zip(period0, period1):
+            total += 0.5 * (p0 + p1) * (q1 - q0)
     return total

@@ -14,6 +14,8 @@ panel bit for bit.
 
 from __future__ import annotations
 
+import math
+
 from .equilibrium import EconomySpec, SectorParams
 from .errors import PanelFormatError, ValidationError
 from .indexes import GrowthSeries, PricedPanel
@@ -90,13 +92,12 @@ def read_panel(
 ) -> PricedPanel:
     """Parse CSV text back into a validated panel.
 
-    Malformed rows, negative quantities, and non-positive prices are
-    reported with their line number.
+    Malformed rows, non-finite entries, negative quantities, and
+    non-positive prices are reported with their line number.
     """
     lines = [ln for ln in text.splitlines()]
     if mode == PAPER_COMPAT:
         periods = []
-        row_no = 0
         for line_no, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
@@ -109,7 +110,6 @@ def read_panel(
             _check_pair(vals[0], vals[1], sector_names[0], line_no)
             _check_pair(vals[2], vals[3], sector_names[1], line_no)
             periods.append(((vals[0], vals[1]), (vals[2], vals[3])))
-            row_no += 1
         if not periods:
             raise PanelFormatError("empty panel stream")
         return PricedPanel(
@@ -174,6 +174,14 @@ def read_panel(
 
 
 def _check_pair(qty: float, price: float, name: str, line_no: int) -> None:
+    if not math.isfinite(qty):
+        raise PanelFormatError(
+            f"line {line_no}: sector {name}: non-finite quantity {qty}"
+        )
+    if not math.isfinite(price):
+        raise PanelFormatError(
+            f"line {line_no}: sector {name}: non-finite price {price}"
+        )
     if qty < 0.0:
         raise PanelFormatError(
             f"line {line_no}: sector {name}: negative quantity {qty}"

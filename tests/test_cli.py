@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from gdppath.cli import main
+
+GOLDEN_DEMO = Path(__file__).parent / "golden" / "demo"
 
 CHINA_CSV = "2000,1,300,5\n2120,1,303,5.15\n"
 LOOP_CSV = "1,1,1,1\n2,1,1,2\n1,1,1,1\n"
@@ -154,6 +158,19 @@ class TestDemo:
         for row in rows:
             assert abs(float(row.split(",")[1]) - 0.030) < 0.005
 
+    def test_matches_golden_files(self, tmp_path, capsys):
+        # tests/golden/demo was written by `gdppath demo` before the one-pass
+        # index kernel; the ten files must stay the same byte for byte.
+        code, _, _ = run(capsys, "demo", "--outdir", str(tmp_path))
+        assert code == 0
+        golden = sorted(p.name for p in GOLDEN_DEMO.iterdir())
+        assert len(golden) == 10
+        assert sorted(p.name for p in tmp_path.iterdir()) == golden
+        for name in golden:
+            assert (tmp_path / name).read_bytes() == (
+                GOLDEN_DEMO / name
+            ).read_bytes(), name
+
     def test_input_files_not_mutated(self, tmp_path, capsys):
         panel = tmp_path / "china.csv"
         panel.write_text(CHINA_CSV)
@@ -178,6 +195,16 @@ class TestExitCodes:
         code, _, err = run(capsys, "growth", "--panel", str(bad))
         assert code == 2
         assert "line 1" in err
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_entry(self, tmp_path, capsys, token):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"1,1,1,1\n1,1,{token},1\n")
+        code, out, err = run(capsys, "growth", "--panel", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "line 2: sector B: non-finite quantity" in err
 
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "growth", "--panel", "/nonexistent.csv")

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -6,9 +7,11 @@ from hypothesis import strategies as st
 
 from gdppath import (
     DegenerateBaseError,
+    GrowthSeries,
     IndexMethod,
     InsufficientDataError,
     MethodDomainError,
+    ModelError,
     NotALoopError,
     PricedPanel,
     ValidationError,
@@ -20,6 +23,7 @@ from gdppath import (
     path_integral_gdp,
     real_growth,
 )
+from gdppath.gap import common_price_valuations
 
 ALL_METHODS = list(IndexMethod)
 
@@ -311,3 +315,210 @@ class TestPathIntegral:
     def test_single_point_insufficient(self):
         with pytest.raises(InsufficientDataError):
             path_integral_gdp(panel_of([((1.0, 1.0),)]))
+
+
+# The index engine as it was before the one-pass kernel: ``real_growth``
+# rebuilt the quantity and price tuples of both periods on every call,
+# Fisher called it twice, and the running average re-summed the prefix.
+# Each float ``sum(...)`` of that code is spelled out below as the
+# left-to-right loop from zero that CPython 3.11's ``sum`` performs; 3.12+
+# compensates its ``sum``, so the spelled-out loop is the oracle on every
+# version for the kernel's explicit ``+=`` loops.
+
+
+def left_to_right_sum(terms):
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def oracle_real_growth(panel, step, method):
+    if not 0 <= step < panel.n_periods - 1:
+        raise ValidationError(
+            f"step {step} out of range for {panel.n_periods} periods"
+        )
+    q0, q1 = panel.quantities(step), panel.quantities(step + 1)
+    p0, p1 = panel.prices(step), panel.prices(step + 1)
+
+    def basket(prices, quantities):
+        return left_to_right_sum(p * q for p, q in zip(prices, quantities))
+
+    if method is IndexMethod.LASPEYRES:
+        base = basket(p0, q0)
+        if base <= 0.0:
+            raise DegenerateBaseError(f"zero base value at period {step}")
+        return basket(p0, q1) / base - 1.0
+    if method is IndexMethod.PAASCHE:
+        base = basket(p1, q0)
+        if base <= 0.0:
+            raise DegenerateBaseError(f"zero base value at period {step}")
+        return basket(p1, q1) / base - 1.0
+    if method is IndexMethod.FISHER:
+        g_l = oracle_real_growth(panel, step, IndexMethod.LASPEYRES)
+        g_p = oracle_real_growth(panel, step, IndexMethod.PAASCHE)
+        return math.sqrt((1.0 + g_l) * (1.0 + g_p)) - 1.0
+    if method is IndexMethod.TORNQVIST:
+        if any(q <= 0.0 for q in q0 + q1):
+            raise MethodDomainError(
+                "Tornqvist requires strictly positive quantities"
+            )
+        gdp0, gdp1 = basket(p0, q0), basket(p1, q1)
+        log_index = 0.0
+        for a in range(len(q0)):
+            share = 0.5 * (p0[a] * q0[a] / gdp0 + p1[a] * q1[a] / gdp1)
+            log_index += share * math.log(q1[a] / q0[a])
+        return math.exp(log_index) - 1.0
+    raise ValidationError(f"unknown index method {method!r}")
+
+
+def oracle_inflation(panel, step, method):
+    # nominal_growth is not part of the kernel and is used as it is.
+    g_nom = nominal_growth(panel, step)
+    g_real = oracle_real_growth(panel, step, method)
+    return (1.0 + g_nom) / (1.0 + g_real) - 1.0
+
+
+def oracle_growth_series(panel, method, geometric_average=False,
+                         values=None):
+    if panel.n_periods < 2:
+        raise InsufficientDataError("growth needs at least two periods")
+    if values is not None and len(values) != panel.n_periods:
+        raise ValidationError("one valuation per period required")
+    rates = []
+    for step in range(panel.n_periods - 1):
+        if values is None:
+            if method is None:
+                raise ValidationError("an index method is required")
+            rates.append(oracle_real_growth(panel, step, method))
+        else:
+            if values[step] <= 0.0:
+                raise DegenerateBaseError(f"zero valuation at period {step}")
+            rates.append(values[step + 1] / values[step] - 1.0)
+    chained, averages = [], []
+    level = 1.0
+    for j, rate in enumerate(rates):
+        level *= 1.0 + rate
+        chained.append(level)
+        if geometric_average:
+            averages.append(level ** (1.0 / (j + 1)) - 1.0)
+        else:
+            averages.append(left_to_right_sum(rates[: j + 1]) / (j + 1))
+    return tuple(rates), tuple(chained), tuple(averages)
+
+
+def oracle_path_integral_gdp(path):
+    if path.n_periods < 2:
+        raise InsufficientDataError("path integral needs at least two points")
+    total = 0.0
+    for step in range(path.n_periods - 1):
+        q0, q1 = path.quantities(step), path.quantities(step + 1)
+        p0, p1 = path.prices(step), path.prices(step + 1)
+        for a in range(len(q0)):
+            total += 0.5 * (p0[a] + p1[a]) * (q1[a] - q0[a])
+    return total
+
+
+def oracle_common_price_valuations(panel, reference_prices):
+    # The checks of the reference prices are unchanged and left out.  The
+    # valuation still uses the builtin ``sum``, so the oracle does too: a
+    # spelled-out loop would differ from it on 3.12+.
+    return tuple(
+        sum(p * q for p, q in zip(reference_prices, panel.quantities(i)))
+        for i in range(panel.n_periods)
+    )
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of a call, or the type and message of the error it
+    raised.  Both engines divide by zero for inflation over a step whose
+    output falls to zero, and fail ``math.log`` for Tornqvist when a
+    quantity ratio underflows to zero."""
+    try:
+        result = fn(*args, **kwargs)
+    except (ModelError, ZeroDivisionError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, GrowthSeries):
+        return result.rates, result.chained_level, result.running_average
+    return result
+
+
+def long_panel(n_periods=2000, seed=5):
+    """Two sectors drifting apart over a long horizon."""
+    rng = random.Random(seed)
+    periods, qty, price = [], [100.0, 40.0], [1.0, 3.0]
+    for _ in range(n_periods):
+        periods.append(tuple(zip(qty, price)))
+        qty = [q * math.exp(rng.gauss(0.01, 0.02)) for q in qty]
+        price = [p * math.exp(rng.gauss(0.0, 0.03)) for p in price]
+    return panel_of(periods)
+
+
+class TestOnePassKernel:
+    """The one-pass kernel gives the old engine's results bit for bit and
+    raises its errors on the same inputs."""
+
+    def assert_same_as_oracle(self, panel):
+        def check(new, old, *args, **kwargs):
+            # repr tells floats apart bit for bit, and a nan equals a nan
+            # (subnormal quantities give inf and nan growth in both engines).
+            assert repr(outcome(new, *args, **kwargs)) == repr(
+                outcome(old, *args, **kwargs)
+            )
+
+        for method in ALL_METHODS:
+            for step in range(panel.n_periods - 1):
+                check(real_growth, oracle_real_growth, panel, step, method)
+                check(inflation, oracle_inflation, panel, step, method)
+            for geometric in (False, True):
+                check(growth_series, oracle_growth_series, panel, method,
+                      geometric_average=geometric)
+        check(path_integral_gdp, oracle_path_integral_gdp, panel)
+        reference = panel.prices(0)
+        check(common_price_valuations, oracle_common_price_valuations,
+              panel, reference)
+        values = common_price_valuations(panel, reference)
+        check(growth_series, oracle_growth_series, panel, None,
+              values=values)
+
+    @given(panels(max_periods=12))
+    def test_positive_panels(self, panel):
+        self.assert_same_as_oracle(panel)
+
+    @given(panels(max_periods=12, positive_quantities=False))
+    def test_panels_with_zero_quantities(self, panel):
+        self.assert_same_as_oracle(panel)
+
+    def test_long_panel(self):
+        self.assert_same_as_oracle(long_panel())
+
+    @pytest.mark.parametrize("periods, method, error, message", [
+        ([((0.0, 1.0), (0.0, 2.0)), ((1.0, 1.0), (1.0, 2.0))],
+         IndexMethod.LASPEYRES, DegenerateBaseError,
+         "zero base value at period 0"),
+        ([((1.0, 1.0), (2.0, 2.0)), ((0.0, 3.0), (0.0, 2.0)),
+          ((1.0, 1.0), (1.0, 2.0))],
+         IndexMethod.FISHER, DegenerateBaseError,
+         "zero base value at period 1"),
+        ([((1.0, 1.0), (2.0, 2.0)), ((1.5, 1.0), (2.0, 2.0)),
+          ((1.0, 1.0), (0.0, 2.0))],
+         IndexMethod.TORNQVIST, MethodDomainError, "Tornqvist requires"),
+        # a zero base under Tornqvist is a domain error, not a zero base
+        ([((0.0, 1.0),), ((1.0, 1.0),)],
+         IndexMethod.TORNQVIST, MethodDomainError, "Tornqvist requires"),
+    ])
+    def test_errors_match(self, periods, method, error, message):
+        panel = panel_of(periods)
+        self.assert_same_as_oracle(panel)
+        with pytest.raises(error, match=message):
+            growth_series(panel, method)
+
+    def test_method_errors_match(self):
+        panel = panel_of([((1.0, 1.0),), ((2.0, 1.0),)])
+        for method in (None, "laspeyres"):
+            assert outcome(growth_series, panel, method) == outcome(
+                oracle_growth_series, panel, method
+            )
+            assert outcome(real_growth, panel, 0, method) == outcome(
+                oracle_real_growth, panel, 0, method
+            )

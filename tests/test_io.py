@@ -85,6 +85,16 @@ class TestPaperCompat:
         with pytest.raises(PanelFormatError):
             read_panel("", PAPER_COMPAT)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column, what", [(0, "quantity"), (1, "price")])
+    def test_non_finite_names_line(self, token, column, what):
+        row = ["1", "1", "1", "1"]
+        row[column] = token
+        text = "2,1,1,1\n" + ",".join(row) + "\n"
+        with pytest.raises(PanelFormatError,
+                           match=f"^line 2: sector A: non-finite {what} "):
+            read_panel(text, PAPER_COMPAT)
+
 
 class TestGeneral:
     def test_three_sector_header(self):
@@ -116,6 +126,16 @@ class TestGeneral:
     def test_mismatched_sector_columns(self):
         with pytest.raises(PanelFormatError):
             read_panel("year,Y_A,P_B\n0,1,1\n", GENERAL)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column, what", [(1, "quantity"), (2, "price")])
+    def test_non_finite_names_line(self, token, column, what):
+        row = ["1901", "1", "1"]
+        row[column] = token
+        text = "year,Y_farm,P_farm\n1900,1,1\n" + ",".join(row) + "\n"
+        with pytest.raises(PanelFormatError,
+                           match=f"^line 3: sector farm: non-finite {what} "):
+            read_panel(text, GENERAL)
 
     @given(panels())
     def test_round_trip_identity(self, panel):
