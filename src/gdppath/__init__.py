@@ -6,7 +6,6 @@ from .equilibrium import (
     SectorParams,
     allocate_labor,
     output_per_labor,
-    price_of_sector,
     solve_capital_per_labor,
     solve_equilibrium,
     utility,

@@ -14,7 +14,7 @@ year); real-growth measures downstream are invariant to that choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     DegenerateSectorError,
@@ -76,8 +76,9 @@ class SectorParams:
 class EconomySpec:
     """Full economy: sectors, labor force, capital return, utility parameters.
 
-    Sector order matters: the first sector is the subsistence good (A), the
-    second is the service (B).
+    The economy has exactly two sectors: the first is the subsistence good
+    (A), the second the service (B).  Building a spec validates it and
+    computes the constants of the yearly solve once.
     """
 
     sectors: tuple[SectorParams, ...]
@@ -85,7 +86,13 @@ class EconomySpec:
     rate_of_return: float  # R_c, per year
     subsistence: float  # N0, good-A units per person per year
     omega: float  # utility exponent on the service good
-    numeraire: str = "wage-equals-one"
+    # Per sector: (lam, 1 - lam, gr = R_c + delta,
+    # kappa = ((1-lam)/gr)^(1/lam)).
+    _sector_constants: tuple[tuple[float, float, float, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _omega_lam_b: float = field(init=False, repr=False, compare=False)
+    _labor_denominator: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_finite(
@@ -94,26 +101,35 @@ class EconomySpec:
             subsistence=self.subsistence,
             omega=self.omega,
         )
-        if len(self.sectors) < 2:
-            raise ValidationError("economy needs at least two sectors")
+        if len(self.sectors) != 2:
+            raise ValidationError(
+                f"economy needs exactly two sectors, got {len(self.sectors)}"
+            )
         if self.total_labor <= 0.0:
             raise ValidationError("total_labor must be > 0")
         if self.subsistence < 0.0:
             raise ValidationError("subsistence must be >= 0")
         if self.omega < 0.0:
             raise ValidationError("omega must be >= 0")
-        if self.numeraire != "wage-equals-one":
-            raise ValidationError(f"unknown numeraire rule {self.numeraire!r}")
+        constants = []
         for s in self.sectors:
-            gr = self.rate_of_return + s.depreciation
-            if gr <= 0.0:
+            gr = self.gross_return(s)
+            if not 0.0 < gr < math.inf:
                 raise ValidationError(
-                    f"sector {s.name}: gross return R_c + delta must be > 0"
+                    f"sector {s.name}: gross return R_c + delta must be "
+                    f"finite and > 0, got {gr!r}"
                 )
             try:
-                _capital_factor(s.elasticity, gr)
+                kappa = _capital_factor(s.elasticity, gr)
             except ValidationError as exc:
                 raise ValidationError(f"sector {s.name}: {exc}") from None
+            constants.append((s.elasticity, 1.0 - s.elasticity, gr, kappa))
+        omega_lam_b = self.omega * self.sectors[1].elasticity
+        object.__setattr__(self, "_sector_constants", tuple(constants))
+        object.__setattr__(self, "_omega_lam_b", omega_lam_b)
+        object.__setattr__(
+            self, "_labor_denominator", self.sectors[0].elasticity + omega_lam_b
+        )
 
     def gross_return(self, sector: SectorParams) -> float:
         return self.rate_of_return + sector.depreciation
@@ -121,7 +137,8 @@ class EconomySpec:
 
 @dataclass(frozen=True)
 class EquilibriumPoint:
-    """One year's solved equilibrium, per sector plus the economy-wide wage."""
+    """One year's solved equilibrium, per sector; the wage is the numeraire
+    ``WAGE_NUMERAIRE``."""
 
     sector_names: tuple[str, ...]
     capital_per_labor: tuple[float, ...]
@@ -129,7 +146,6 @@ class EquilibriumPoint:
     prices: tuple[float, ...]
     labor: tuple[float, ...]
     outputs: tuple[float, ...]  # Y_a = L_a * y_a
-    wage: float
 
 
 def solve_capital_per_labor(
@@ -175,24 +191,6 @@ def equilibrium_output_per_labor(
     return output_per_labor(productivity, elasticity, k)
 
 
-def price_of_sector(
-    wage: float, k: float, y: float, gross_return: float
-) -> float:
-    """Sector price from the zero-profit identity P = (W + k*gr) / y.
-
-    Here ``k`` is capital per labor valued in wage units, so that ``k*gr`` is
-    a cost in the same units as the wage.  Physical capital (units of the
-    sector's own good, as returned by ``solve_capital_per_labor``) must first
-    be valued at the sector's price.
-    """
-    _require_finite(wage=wage, k=k, y=y, gross_return=gross_return)
-    if y <= 0.0:
-        raise DegenerateSectorError(
-            "cannot price a sector with zero output per labor"
-        )
-    return (wage + k * gross_return) / y
-
-
 def allocate_labor(spec: EconomySpec, productivity_a: float) -> tuple[float, float]:
     """Utility-maximizing labor split between sectors A and B.
 
@@ -224,47 +222,73 @@ def allocate_labor(spec: EconomySpec, productivity_a: float) -> tuple[float, flo
     return labor_a, spec.total_labor - labor_a
 
 
+_DEGENERATE = "cannot price a sector with zero output per labor"
+
+
+def _solve_year(spec: EconomySpec, t_a: float, t_b: float):
+    """One year's equilibrium at finite, non-negative productivities, from
+    the spec's precomputed constants and with only the checks that depend
+    on them.  Returns the fields of ``EquilibriumPoint`` after the names,
+    each a per-sector pair."""
+    (lam_a, exp_a, gr_a, kappa_a), (lam_b, exp_b, gr_b, kappa_b) = (
+        spec._sector_constants
+    )
+    k_a = t_a * kappa_a
+    k_b = t_b * kappa_b
+    y_a = t_a**lam_a * k_a**exp_a
+    y_b = t_b**lam_b * k_b**exp_b
+    # Zero profit with capital charged at the sector's own price:
+    # P*y = W + P*k*gr, so P = W / (y - k*gr), i.e. W / (lam*y).
+    net_a = y_a - k_a * gr_a
+    if net_a <= 0.0:
+        raise DegenerateSectorError(_DEGENERATE)
+    net_b = y_b - k_b * gr_b
+    if net_b <= 0.0:
+        raise DegenerateSectorError(_DEGENERATE)
+    if y_a <= 0.0:
+        raise InfeasibleAllocationError(
+            "sector A produces nothing; subsistence cannot be met"
+        )
+    # The labor split of allocate_labor.
+    share = (
+        lam_a + spec._omega_lam_b * (spec.subsistence / y_a)
+    ) / spec._labor_denominator
+    total = spec.total_labor
+    labor_a = total * share
+    if labor_a > total:
+        raise InfeasibleAllocationError(
+            f"subsistence infeasible: formula requires L_A = {labor_a:.1f} "
+            f"> L_t = {total:.1f}"
+        )
+    if labor_a < 0.0:
+        raise ValidationError(f"negative labor allocation L_A = {labor_a}")
+    labor_b = total - labor_a
+    return (
+        (k_a, k_b),
+        (y_a, y_b),
+        (WAGE_NUMERAIRE / net_a, WAGE_NUMERAIRE / net_b),
+        (labor_a, labor_b),
+        (labor_a * y_a, labor_b * y_b),
+    )
+
+
 def solve_equilibrium(
     spec: EconomySpec, productivities: tuple[float, ...] | list[float]
 ) -> EquilibriumPoint:
     """Compose capital intensity, output, prices, and labor allocation into
     one year's equilibrium under the wage numeraire."""
-    if len(productivities) != len(spec.sectors):
+    if len(productivities) != 2:
         raise ValidationError(
-            f"expected {len(spec.sectors)} productivities, "
-            f"got {len(productivities)}"
+            f"expected 2 productivities, got {len(productivities)}"
         )
-    wage = WAGE_NUMERAIRE
-    ks, ys, prices = [], [], []
-    for sector, t in zip(spec.sectors, productivities):
-        gr = spec.gross_return(sector)
-        k = solve_capital_per_labor(t, sector.elasticity, gr)
-        y = output_per_labor(t, sector.elasticity, k)
-        # Zero profit with capital charged at the sector's own price:
-        # P*y = W + P*k*gr, so P = W / (y - k*gr), i.e. W / (lam*y).
-        net_output = y - k * gr
-        if net_output <= 0.0:
-            raise DegenerateSectorError(
-                "cannot price a sector with zero output per labor"
-            )
-        ks.append(k)
-        ys.append(y)
-        prices.append(wage / net_output)
-    if len(spec.sectors) != 2:
-        raise ValidationError(
-            "labor allocation implements the two-sector economy only"
-        )
-    labor_a, labor_b = allocate_labor(spec, productivities[0])
-    labors = [labor_a, labor_b]
-    outputs = [la * y for la, y in zip(labors, ys)]
+    for t, (_, _, _, kappa) in zip(productivities, spec._sector_constants):
+        _require_finite(productivity=t)
+        if t < 0.0:
+            raise ValidationError("productivity must be >= 0")
+        _require_finite(k=t * kappa)
+    t_a, t_b = productivities
     return EquilibriumPoint(
-        sector_names=tuple(s.name for s in spec.sectors),
-        capital_per_labor=tuple(ks),
-        output_per_labor=tuple(ys),
-        prices=tuple(prices),
-        labor=tuple(labors),
-        outputs=tuple(outputs),
-        wage=wage,
+        tuple(s.name for s in spec.sectors), *_solve_year(spec, t_a, t_b)
     )
 
 

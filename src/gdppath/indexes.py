@@ -148,10 +148,20 @@ def _step_growth(period0, period1, method: IndexMethod, step: int) -> float:
                 "Tornqvist requires strictly positive quantities"
             )
         gdp0, _, _, gdp1 = _step_sums(period0, period1)
+        # Subnormal quantities can make a period's value or a quantity
+        # ratio round to zero although every quantity is positive.
+        if gdp0 <= 0.0 or gdp1 <= 0.0:
+            period = step if gdp0 <= 0.0 else step + 1
+            raise DegenerateBaseError(f"zero nominal GDP at period {period}")
         log_index = 0.0
         for (q0, p0), (q1, p1) in zip(period0, period1):
             share = 0.5 * (p0 * q0 / gdp0 + p1 * q1 / gdp1)
-            log_index += share * math.log(q1 / q0)
+            ratio = q1 / q0
+            if ratio == 0.0:
+                raise MethodDomainError(
+                    f"Tornqvist quantity ratio underflows to 0 at period {step}"
+                )
+            log_index += share * math.log(ratio)
         return math.exp(log_index) - 1.0
     v00, v01, v10, v11 = _step_sums(period0, period1)
     if method is IndexMethod.LASPEYRES:
@@ -187,8 +197,13 @@ def real_growth(panel: PricedPanel, step: int, method: IndexMethod) -> float:
 def inflation(panel: PricedPanel, step: int, method: IndexMethod) -> float:
     """Deflator-implied inflation: (1 + nominal) / (1 + real) - 1."""
     g_nom = nominal_growth(panel, step)
-    g_real = real_growth(panel, step, method)
-    return (1.0 + g_nom) / (1.0 + g_real) - 1.0
+    real_factor = 1.0 + real_growth(panel, step, method)
+    if real_factor == 0.0:
+        raise DegenerateBaseError(
+            f"real output falls to zero at period {step + 1}: "
+            "inflation is undefined"
+        )
+    return (1.0 + g_nom) / real_factor - 1.0
 
 
 def growth_series(

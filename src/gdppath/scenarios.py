@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .equilibrium import (
     EconomySpec,
     SectorParams,
+    _solve_year,
     equilibrium_output_per_labor,
     solve_equilibrium,
 )
@@ -28,6 +29,9 @@ END_YEAR = 1998
 T_END = 18.93
 # Upper end of the constant-rate bracket's doubling search: 1000% a year.
 MAX_CALIBRATED_RATE = 10.0
+# Longest schedule, in yearly steps, that build_schedule and the calibration
+# accept; checked before any yearly list is built.
+MAX_HORIZON_YEARS = 1000
 
 ISLAND_RULES = ("north", "middle", "south")
 
@@ -84,9 +88,13 @@ class IslandScenario:
     spec: EconomySpec
     schedule: ProductivitySchedule
 
-    def __post_init__(self) -> None:
-        if len(self.spec.sectors) != 2:
-            raise ValidationError("island scenarios are two-sector")
+
+def _check_horizon(years: int) -> None:
+    if years > MAX_HORIZON_YEARS:
+        raise ValidationError(
+            f"horizon of {years} years exceeds the maximum of "
+            f"{MAX_HORIZON_YEARS}"
+        )
 
 
 def _raw_multipliers(rule: str, n_steps: int) -> tuple[list[float], list[float]]:
@@ -129,6 +137,7 @@ def build_schedule(
     """
     if end <= start:
         raise ValidationError("end must exceed start")
+    _check_horizon(end - start)
     mult_a, mult_b = _raw_multipliers(rule, end - start)
     values_a, values_b = [1.0], [1.0]
     for ma, mb in zip(mult_a, mult_b):
@@ -162,18 +171,18 @@ def island_scenario(
 def generate_panel(scenario: IslandScenario) -> PricedPanel:
     """Simulate the scenario year by year into a priced panel of per-sector
     (output, price) pairs."""
-    schedule = scenario.schedule
+    spec, schedule = scenario.spec, scenario.schedule
     periods = []
     for year, t_a, t_b in zip(
         schedule.years, schedule.values_a, schedule.values_b
     ):
         try:
-            eq = solve_equilibrium(scenario.spec, (t_a, t_b))
+            _, _, (p_a, p_b), _, (out_a, out_b) = _solve_year(spec, t_a, t_b)
         except InfeasibleAllocationError as exc:
             raise InfeasibleAllocationError(f"year {year}: {exc}") from exc
-        periods.append(tuple(zip(eq.outputs, eq.prices)))
+        periods.append(((out_a, p_a), (out_b, p_b)))
     return PricedPanel(
-        sector_names=tuple(s.name for s in scenario.spec.sectors),
+        sector_names=tuple(s.name for s in spec.sectors),
         periods=tuple(periods),
         period_labels=schedule.years,
     )
@@ -220,7 +229,7 @@ def _constant_growth_multipliers(
     taken in cancellation-free form.
     """
     t_a, t_b = 1.0, 1.0
-    eq = solve_equilibrium(spec, (t_a, t_b))  # rejects all but two sectors
+    eq = solve_equilibrium(spec, (t_a, t_b))
     sec_a, sec_b = spec.sectors
     c_a = equilibrium_output_per_labor(1.0, sec_a.elasticity,
                                        spec.gross_return(sec_a))
@@ -276,6 +285,7 @@ def calibrate_constant_growth(
     """
     if years < 1:
         raise ValidationError("years must be >= 1")
+    _check_horizon(years)
     if target_t_end <= 1.0:
         raise ValidationError("target productivity endpoint must exceed 1")
     economy = spec if spec is not None else default_spec()

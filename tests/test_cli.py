@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,38 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1
         assert "line 2: sector B: non-finite quantity" in err
+
+    @pytest.mark.parametrize("argv, text", [
+        # real growth of -100%: inflation divides by zero real output
+        (["gap"], "1,1,1,1\n0,1,0,1\n"),
+        # q1/q0 underflows to 0.0 and math.log would fail on it
+        (["growth", "--method", "tornqvist"], "2,1,1,1\n5e-324,1,1,1\n"),
+        # positive quantities whose period value rounds to zero
+        (["growth", "--method", "tornqvist"], "5e-324,0.1,5e-324,0.1\n"
+                                              "1,1,1,1\n"),
+    ])
+    def test_degenerate_step_exit_2(self, tmp_path, capsys, argv, text):
+        panel = tmp_path / "panel.csv"
+        panel.write_text(text)
+        code, out, err = run(capsys, *argv, "--panel", str(panel))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+
+    def test_horizon_cap_before_allocation(self, tmp_path, capsys):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("end_year = 3000000\n")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "simulate", "--config", str(cfg))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "exceeds the maximum" in err
+        assert peak < 1_000_000
 
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "growth", "--panel", "/nonexistent.csv")

@@ -1,22 +1,24 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdppath import (
+    DegenerateSectorError,
     EconomySpec,
+    EquilibriumPoint,
     InfeasibleAllocationError,
+    ModelError,
     SectorParams,
     ValidationError,
     allocate_labor,
     output_per_labor,
-    price_of_sector,
     solve_capital_per_labor,
     solve_equilibrium,
     utility,
 )
-from gdppath.equilibrium import equilibrium_output_per_labor
+from gdppath.equilibrium import WAGE_NUMERAIRE, equilibrium_output_per_labor
 
 from conftest import bisect_root, golden_section_max
 
@@ -113,41 +115,6 @@ class TestOutputPerLabor:
         assert scaled == pytest.approx(z * base, rel=1e-12)
 
 
-class TestPriceOfSector:
-    def test_baseline(self):
-        p = price_of_sector(1.0, 5.27508, 1.74078, GR)
-        assert p == pytest.approx(0.90779, rel=1e-5)
-
-    def test_zero_wage_capital_share(self):
-        # With zero wage price*output covers capital cost only: (1-lam).
-        p = price_of_sector(0.0, 5.27508, 1.74078, GR)
-        assert p == pytest.approx(1.0 / 3.0, rel=1e-4)
-
-    def test_cost_disease_decline(self):
-        p = price_of_sector(1.0, 99.857, 32.953, GR)
-        assert p == pytest.approx(0.36368, rel=1e-4)
-
-    def test_zero_output_is_degenerate(self):
-        from gdppath import DegenerateSectorError
-
-        with pytest.raises(DegenerateSectorError):
-            price_of_sector(1.0, 1.0, 0.0, GR)
-
-    @given(
-        wage=st.floats(0.1, 10.0),
-        k=st.floats(0.0, 100.0),
-        y=st.floats(0.1, 100.0),
-        gr=st.floats(0.01, 1.0),
-        scale=st.floats(0.1, 10.0),
-    )
-    def test_numeraire_degree_zero(self, wage, k, y, gr, scale):
-        # Scaling the wage scales the price proportionally through the
-        # budget identity once the capital charge scales with it too.
-        p = price_of_sector(wage, k, y, gr)
-        p_scaled = price_of_sector(scale * wage, scale * k, y, gr)
-        assert p_scaled == pytest.approx(scale * p, rel=1e-12)
-
-
 class TestAllocateLabor:
     def _oracle(self, spec, t_a):
         # Maximize utility over L_A with per-labor outputs at equilibrium.
@@ -223,7 +190,6 @@ class TestSolveEquilibrium:
         # P = W / (lam*y) with y = T*((1-lam)/gr)^((1-lam)/lam) = 1.740777
         assert eq.prices[0] == pytest.approx(0.861684, rel=1e-6)
         assert eq.prices[0] == eq.prices[1]
-        assert eq.wage == 1.0
 
     def test_endpoint_composition(self, spec):
         eq = solve_equilibrium(spec, (18.93, 18.93))
@@ -253,12 +219,13 @@ class TestSolveEquilibrium:
                 revenue = eq.prices[i] * eq.output_per_labor[i]
                 budget = (
                     revenue
-                    - eq.wage
+                    - WAGE_NUMERAIRE
                     - eq.prices[i] * eq.capital_per_labor[i] * gr
                 )
                 assert abs(budget) <= 1e-10 * revenue
                 # labor earns its Cobb-Douglas share of revenue
-                assert abs(lam * revenue - eq.wage) <= 1e-12 * eq.wage
+                assert (abs(lam * revenue - WAGE_NUMERAIRE)
+                        <= 1e-12 * WAGE_NUMERAIRE)
                 assert all(v > 0 for v in (
                     eq.capital_per_labor[i], eq.output_per_labor[i],
                     eq.prices[i], eq.labor[i], eq.outputs[i],
@@ -267,6 +234,120 @@ class TestSolveEquilibrium:
     def test_wrong_productivity_count(self, spec):
         with pytest.raises(ValidationError):
             solve_equilibrium(spec, (1.0,))
+
+
+# solve_equilibrium as it was before the spec-compiled kernel: each year went
+# through the validated public helpers, which recomputed the capital factor
+# per sector and sector A's output per labor a second time for the labor
+# split.  Copied as it was, apart from the wage field EquilibriumPoint no
+# longer has.
+def helper_chain_solve_equilibrium(spec, productivities):
+    if len(productivities) != len(spec.sectors):
+        raise ValidationError(
+            f"expected {len(spec.sectors)} productivities, "
+            f"got {len(productivities)}"
+        )
+    wage = WAGE_NUMERAIRE
+    ks, ys, prices = [], [], []
+    for sector, t in zip(spec.sectors, productivities):
+        gr = spec.gross_return(sector)
+        k = solve_capital_per_labor(t, sector.elasticity, gr)
+        y = output_per_labor(t, sector.elasticity, k)
+        net_output = y - k * gr
+        if net_output <= 0.0:
+            raise DegenerateSectorError(
+                "cannot price a sector with zero output per labor"
+            )
+        ks.append(k)
+        ys.append(y)
+        prices.append(wage / net_output)
+    if len(spec.sectors) != 2:
+        raise ValidationError(
+            "labor allocation implements the two-sector economy only"
+        )
+    labor_a, labor_b = allocate_labor(spec, productivities[0])
+    labors = [labor_a, labor_b]
+    outputs = [la * y for la, y in zip(labors, ys)]
+    return EquilibriumPoint(
+        sector_names=tuple(s.name for s in spec.sectors),
+        capital_per_labor=tuple(ks),
+        output_per_labor=tuple(ys),
+        prices=tuple(prices),
+        labor=tuple(labors),
+        outputs=tuple(outputs),
+    )
+
+
+def solve_outcome(solve, spec, productivities):
+    """The solved point, or the class and message of the error raised."""
+    try:
+        return solve(spec, productivities)
+    except ModelError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def two_sector_specs(draw):
+    rate = draw(st.floats(0.0, 0.2))
+    sectors = tuple(
+        SectorParams(name, draw(st.floats(0.05, 0.95)),
+                     draw(st.floats(0.001, 0.2)))
+        for name in ("A", "B")
+    )
+    return EconomySpec(
+        sectors=sectors,
+        total_labor=draw(st.floats(1.0, 1e6)),
+        rate_of_return=rate,
+        subsistence=draw(st.floats(0.0, 5.0)),
+        omega=draw(st.floats(0.0, 10.0)),
+    )
+
+
+# Zero makes a sector degenerate, subnormal and small values make the
+# subsistence floor infeasible; the bound keeps capital per labor finite.
+productivities = st.one_of(
+    st.floats(0.0, 1e6), st.sampled_from([0.0, 5e-324, 1e-300, 1e-3])
+)
+
+
+class TestKernelMatchesHelperChain:
+    """solve_equilibrium gives the helper chain's point bit for bit and
+    raises its errors on the same inputs."""
+
+    @given(spec=two_sector_specs(), t_a=productivities, t_b=productivities)
+    @example(spec=EconomySpec(sectors=(SectorParams("A", LAM, 0.055),
+                                       SectorParams("B", LAM, 0.055)),
+                              total_labor=100_000.0, rate_of_return=0.055,
+                              subsistence=1.6711, omega=5.0),
+             t_a=0.5, t_b=1.0)  # infeasible subsistence
+    @example(spec=EconomySpec(sectors=(SectorParams("A", LAM, 0.055),
+                                       SectorParams("B", LAM, 0.055)),
+                              total_labor=100_000.0, rate_of_return=0.055,
+                              subsistence=1.6711, omega=5.0),
+             t_a=1.0, t_b=0.0)  # degenerate sector B
+    @settings(max_examples=300)
+    def test_same_point_or_error(self, spec, t_a, t_b):
+        # repr tells floats apart bit for bit, -0.0 from 0.0 included.
+        for ts in ((t_a, t_b), [t_a, t_b]):
+            assert repr(solve_outcome(solve_equilibrium, spec, ts)) == repr(
+                solve_outcome(helper_chain_solve_equilibrium, spec, ts)
+            )
+
+    @pytest.mark.parametrize("ts, error", [
+        ((0.5, 1.0), InfeasibleAllocationError),
+        ((0.0, 1.0), DegenerateSectorError),
+        ((1.0, 0.0), DegenerateSectorError),
+        ((float("nan"), 1.0), ValidationError),
+        ((1.0, float("inf")), ValidationError),
+        ((-1.0, 1.0), ValidationError),
+        ((1.0, 1e308), ValidationError),  # capital per labor overflows
+        ((1.0,), ValidationError),
+        ((1.0, 1.0, 1.0), ValidationError),
+    ])
+    def test_errors_match(self, spec, ts, error):
+        got = solve_outcome(solve_equilibrium, spec, ts)
+        assert got == solve_outcome(helper_chain_solve_equilibrium, spec, ts)
+        assert got[0] is error
 
 
 class TestUtility:
@@ -304,6 +385,32 @@ class TestSpecValidation:
                 subsistence=0.0,
                 omega=1.0,
             )
+
+    def test_three_sector_economy_rejected(self):
+        with pytest.raises(ValidationError, match="exactly two sectors"):
+            EconomySpec(
+                sectors=(SectorParams("A", 0.5, 0.05),
+                         SectorParams("B", 0.5, 0.05),
+                         SectorParams("C", 0.5, 0.05)),
+                total_labor=100.0,
+                rate_of_return=0.05,
+                subsistence=0.0,
+                omega=1.0,
+            )
+
+    def test_compiled_constants_leave_equality_and_repr(self, spec):
+        same = EconomySpec(
+            sectors=spec.sectors,
+            total_labor=spec.total_labor,
+            rate_of_return=spec.rate_of_return,
+            subsistence=spec.subsistence,
+            omega=spec.omega,
+        )
+        assert same == spec and hash(same) == hash(spec)
+        assert repr(spec) == (
+            f"EconomySpec(sectors={spec.sectors!r}, total_labor=100000.0, "
+            "rate_of_return=0.055, subsistence=1.6711, omega=5.0)"
+        )
 
     @pytest.mark.parametrize("bad", [0, 1])
     def test_overflowing_capital_names_sector(self, bad):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -18,7 +19,11 @@ from gdppath import (
     island_scenario,
     solve_equilibrium,
 )
-from gdppath.scenarios import _bisect, _constant_growth_multipliers
+from gdppath.scenarios import (
+    MAX_HORIZON_YEARS,
+    _bisect,
+    _constant_growth_multipliers,
+)
 
 from conftest import bisect_root
 
@@ -72,6 +77,28 @@ class TestBuildSchedule:
     def test_bad_range(self):
         with pytest.raises(ValidationError):
             build_schedule("middle", start=1998, end=1900)
+
+
+class TestHorizonCap:
+    def test_longest_horizon_builds(self):
+        s = build_schedule("middle", start=1900, end=1900 + MAX_HORIZON_YEARS)
+        assert len(s.values_a) == MAX_HORIZON_YEARS + 1
+
+    @pytest.mark.parametrize("call", [
+        lambda: build_schedule("middle", start=1900, end=1900 + 1001),
+        lambda: build_schedule("middle", start=1900, end=3_000_000),
+        lambda: calibrate_constant_growth(years=MAX_HORIZON_YEARS + 1),
+        lambda: calibrate_constant_growth(years=3_000_000),
+    ])
+    def test_rejected_before_allocation(self, call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="exceeds the maximum"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestGeneratePanel:
