@@ -8,6 +8,7 @@ error, 3 model infeasibility.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from .errors import (
     CalibrationError,
     InfeasibleAllocationError,
     ModelError,
+    PanelFormatError,
 )
 from .gap import (
     REFERENCE_RULES,
@@ -70,15 +72,16 @@ def _method(name: str) -> IndexMethod:
         raise UsageError(f"unknown index method {name!r}") from None
 
 
-def _load_panel(args: argparse.Namespace) -> PricedPanel:
-    text = Path(args.panel).read_text()
-    return read_panel(text, mode=args.format, start_year=args.start_year)
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise PanelFormatError(f"{path}: {exc}") from None
 
 
-def _load_scenario(args: argparse.Namespace) -> IslandScenario:
-    if getattr(args, "config", None):
-        return read_scenario_config(Path(args.config).read_text())
-    return island_scenario(args.scenario, normalize=not args.raw)
+def _load_panel(args: argparse.Namespace, path: str) -> PricedPanel:
+    return read_panel(_read_text(path), mode=args.format,
+                      start_year=args.start_year)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -88,104 +91,115 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _add_panel_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--panel", required=True, help="panel CSV file")
-    p.add_argument("--format", choices=PANEL_MODES, default=PAPER_COMPAT)
-    p.add_argument("--start-year", type=int, default=START_YEAR,
-                   dest="start_year",
-                   help="first year for headerless paper-compat files")
-
-
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    # Built on first use, once per process: main() reuses it.
     parser = _Parser(prog="gdppath")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[], help="simulate a scenario panel")
+    # Shared flags: the panel layout, and the first year of headerless files.
+    fmt = _Parser(add_help=False)
+    fmt.add_argument("--format", choices=PANEL_MODES, default=PAPER_COMPAT)
+    layout = _Parser(add_help=False, parents=[fmt])
+    layout.add_argument("--start-year", type=int, default=START_YEAR,
+                        dest="start_year",
+                        help="first year for headerless paper-compat files")
+    panel = _Parser(add_help=False)
+    panel.add_argument("--panel", required=True, help="panel CSV file")
+
+    p = sub.add_parser("simulate", parents=[fmt],
+                       help="simulate a scenario panel")
     p.add_argument("--scenario", choices=ISLAND_RULES + ("constant",),
                    default="middle")
     p.add_argument("--config", help="key=value scenario config file")
     p.add_argument("--raw", action="store_true",
                    help="skip endpoint normalization of the schedule")
-    p.add_argument("--format", choices=PANEL_MODES, default=PAPER_COMPAT)
     p.add_argument("--out", help="output file (default stdout)")
+    p.set_defaults(run=_cmd_simulate)
 
     for name, avg in (("growth", False), ("average", True)):
         p = sub.add_parser(
             name,
+            parents=[panel, layout],
             help="per-step growth rates"
             + (" with running average" if avg else ""),
         )
-        _add_panel_args(p)
         p.add_argument("--method", default="laspeyres")
         p.add_argument("--geometric", action="store_true",
                        help="geometric instead of arithmetic running average")
         p.add_argument("--out")
+        p.set_defaults(run=_cmd_rates, with_average=avg)
 
-    p = sub.add_parser("circularity", help="log chained level over a loop")
-    _add_panel_args(p)
+    p = sub.add_parser("circularity", parents=[panel, layout],
+                       help="log chained level over a loop")
     p.add_argument("--method", default="laspeyres")
+    p.set_defaults(run=_cmd_circularity)
 
-    p = sub.add_parser("path-integral",
+    p = sub.add_parser("path-integral", parents=[panel, layout],
                        help="line integral of sum_a P_a dY_a along the panel")
-    _add_panel_args(p)
+    p.set_defaults(run=_cmd_path_integral)
 
-    p = sub.add_parser("gap", help="national vs international decomposition")
-    _add_panel_args(p)
+    p = sub.add_parser("gap", parents=[panel, layout],
+                       help="national vs international decomposition")
     p.add_argument("--step", type=int, default=0)
     p.add_argument("--method", default="laspeyres")
+    p.set_defaults(run=_cmd_gap)
 
-    p = sub.add_parser("catchup", help="catch-up time estimates")
+    p = sub.add_parser("catchup", parents=[layout],
+                       help="catch-up time estimates")
     p.add_argument("--naive", nargs=4, type=float,
                    metavar=("GDP_SMALL", "GDP_BIG", "G_SMALL", "G_BIG"))
     p.add_argument("--small", help="small economy panel CSV")
     p.add_argument("--big", help="big economy panel CSV")
     p.add_argument("--rule", choices=REFERENCE_RULES, default="common-prices")
-    p.add_argument("--format", choices=PANEL_MODES, default=PAPER_COMPAT)
-    p.add_argument("--start-year", type=int, default=START_YEAR,
-                   dest="start_year")
+    p.set_defaults(run=_cmd_catchup)
 
     p = sub.add_parser("demo",
                        help="regenerate island panels and figure data files")
     p.add_argument("--outdir", default=".")
+    p.set_defaults(run=_cmd_demo)
 
     return parser
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.scenario == "constant" and not args.config:
+    if args.config:
+        scenario = read_scenario_config(_read_text(args.config))
+    elif args.scenario == "constant":
         schedule, _rate = calibrate_constant_growth()
         scenario = IslandScenario("constant-calibrated", default_spec(),
                                   schedule)
     else:
-        scenario = _load_scenario(args)
+        scenario = island_scenario(args.scenario, normalize=not args.raw)
     panel = generate_panel(scenario)
     _emit(write_panel(panel, mode=args.format), args.out)
     return EXIT_OK
 
 
-def _cmd_rates(args: argparse.Namespace, with_average: bool) -> int:
-    panel = _load_panel(args)
+def _cmd_rates(args: argparse.Namespace) -> int:
+    panel = _load_panel(args, args.panel)
     series = growth_series(panel, _method(args.method),
                            geometric_average=args.geometric)
-    _emit(write_growth_series(series, with_average=with_average), args.out)
+    _emit(write_growth_series(series, with_average=args.with_average),
+          args.out)
     return EXIT_OK
 
 
 def _cmd_circularity(args: argparse.Namespace) -> int:
-    panel = _load_panel(args)
+    panel = _load_panel(args, args.panel)
     residual = circularity_residual(panel, _method(args.method))
     print(format(residual, ".17g"))
     return EXIT_OK
 
 
 def _cmd_path_integral(args: argparse.Namespace) -> int:
-    panel = _load_panel(args)
+    panel = _load_panel(args, args.panel)
     print(format(path_integral_gdp(panel), ".17g"))
     return EXIT_OK
 
 
 def _cmd_gap(args: argparse.Namespace) -> int:
-    panel = _load_panel(args)
+    panel = _load_panel(args, args.panel)
     report = perspective_report(panel, args.step, _method(args.method))
     print(f"national_real_growth = {report.national_real_growth:.17g}")
     print(f"national_inflation = {report.national_inflation:.17g}")
@@ -201,10 +215,8 @@ def _cmd_catchup(args: argparse.Namespace) -> int:
         return EXIT_OK
     if not (args.small and args.big):
         raise UsageError("catchup needs either --naive or --small/--big")
-    small = read_panel(Path(args.small).read_text(), mode=args.format,
-                       start_year=args.start_year)
-    big = read_panel(Path(args.big).read_text(), mode=args.format,
-                     start_year=args.start_year)
+    small = _load_panel(args, args.small)
+    big = _load_panel(args, args.big)
     result = model_catchup(small, big, reference_rule=args.rule)
     print(f"rule = {result.rule}")
     print(f"crossing_year = {result.crossing_year}")
@@ -241,26 +253,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "growth":
-            return _cmd_rates(args, with_average=False)
-        if args.command == "average":
-            return _cmd_rates(args, with_average=True)
-        if args.command == "circularity":
-            return _cmd_circularity(args)
-        if args.command == "path-integral":
-            return _cmd_path_integral(args)
-        if args.command == "gap":
-            return _cmd_gap(args)
-        if args.command == "catchup":
-            return _cmd_catchup(args)
-        if args.command == "demo":
-            return _cmd_demo(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

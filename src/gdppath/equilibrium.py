@@ -212,7 +212,8 @@ def allocate_labor(spec: EconomySpec, productivity_a: float) -> tuple[float, flo
         lam_a + spec.omega * lam_b
     )
     labor_a = spec.total_labor * share
-    if labor_a > spec.total_labor:
+    # Written so that a NaN share (0 * inf when omega = 0) counts as infeasible.
+    if not labor_a <= spec.total_labor:
         raise InfeasibleAllocationError(
             f"subsistence infeasible: formula requires L_A = {labor_a:.1f} "
             f"> L_t = {spec.total_labor:.1f}"
@@ -223,6 +224,7 @@ def allocate_labor(spec: EconomySpec, productivity_a: float) -> tuple[float, flo
 
 
 _DEGENERATE = "cannot price a sector with zero output per labor"
+_PRICE_OVERFLOW = "cannot price a sector: its price W/(lam*y) overflows"
 
 
 def _solve_year(spec: EconomySpec, t_a: float, t_b: float):
@@ -245,28 +247,27 @@ def _solve_year(spec: EconomySpec, t_a: float, t_b: float):
     net_b = y_b - k_b * gr_b
     if net_b <= 0.0:
         raise DegenerateSectorError(_DEGENERATE)
-    if y_a <= 0.0:
-        raise InfeasibleAllocationError(
-            "sector A produces nothing; subsistence cannot be met"
-        )
+    p_a = WAGE_NUMERAIRE / net_a
+    p_b = WAGE_NUMERAIRE / net_b
+    if p_a == math.inf or p_b == math.inf:
+        raise DegenerateSectorError(_PRICE_OVERFLOW)
     # The labor split of allocate_labor.
     share = (
         lam_a + spec._omega_lam_b * (spec.subsistence / y_a)
     ) / spec._labor_denominator
     total = spec.total_labor
     labor_a = total * share
-    if labor_a > total:
+    # NaN-safe, as in allocate_labor.
+    if not labor_a <= total:
         raise InfeasibleAllocationError(
             f"subsistence infeasible: formula requires L_A = {labor_a:.1f} "
             f"> L_t = {total:.1f}"
         )
-    if labor_a < 0.0:
-        raise ValidationError(f"negative labor allocation L_A = {labor_a}")
     labor_b = total - labor_a
     return (
         (k_a, k_b),
         (y_a, y_b),
-        (WAGE_NUMERAIRE / net_a, WAGE_NUMERAIRE / net_b),
+        (p_a, p_b),
         (labor_a, labor_b),
         (labor_a * y_a, labor_b * y_b),
     )

@@ -13,18 +13,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NoSolutionError, ValidationError
+from .errors import DegenerateBaseError, NoSolutionError, ValidationError
 from .indexes import (
     GrowthSeries,
     IndexMethod,
     PricedPanel,
-    growth_series,
+    _series,
     inflation,
     nominal_gdp,
     nominal_growth,
     real_growth,
 )
-from .scenarios import IslandScenario, generate_panel
 
 REFERENCE_RULES = ("common-prices", "own-nominal")
 
@@ -37,7 +36,6 @@ class GapReport:
     national_inflation: float
     international_growth: float
     method: IndexMethod
-    reference_prices: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -74,9 +72,15 @@ def naive_catchup(
         raise ValidationError("growth rates must exceed -100%")
     if 1.0 + g_small == 1.0 + g_big:
         raise NoSolutionError("equal growth rates: the gap never closes")
-    return math.log(gdp_big / gdp_small) / math.log(
-        (1.0 + g_small) / (1.0 + g_big)
-    )
+    size = gdp_big / gdp_small
+    speed = (1.0 + g_small) / (1.0 + g_big)
+    # Either ratio can underflow to zero, whose log is undefined, or
+    # overflow to inf, which would give an infinite or zero answer.
+    if not (0.0 < size < math.inf and 0.0 < speed < math.inf):
+        raise NoSolutionError(
+            "size or growth ratio out of floating-point range"
+        )
+    return math.log(size) / math.log(speed)
 
 
 def common_price_valuations(
@@ -101,9 +105,15 @@ def common_price_growth(
     panel: PricedPanel, reference_prices: tuple[float, ...] | list[float]
 ) -> GrowthSeries:
     """Growth of GDP valued at a fixed reference basket: the outside
-    observer's metric."""
+    observer's metric.  Each rate is the ratio of two periods' valuations,
+    so the series has no index method."""
     values = common_price_valuations(panel, reference_prices)
-    return growth_series(panel, method=None, values=values)
+    rates = []
+    for step, (v0, v1) in enumerate(zip(values, values[1:])):
+        if v0 <= 0.0:
+            raise DegenerateBaseError(f"zero valuation at period {step}")
+        rates.append(v1 / v0 - 1.0)
+    return _series(panel, None, rates, geometric_average=False)
 
 
 def perspective_report(
@@ -119,55 +129,37 @@ def perspective_report(
     )
 
 
-def _as_panel(economy: PricedPanel | IslandScenario) -> PricedPanel:
-    if isinstance(economy, PricedPanel):
-        return economy
-    return generate_panel(economy)
-
-
 def model_catchup(
-    small: PricedPanel | IslandScenario,
-    big: PricedPanel | IslandScenario,
+    small: PricedPanel,
+    big: PricedPanel,
     reference_rule: str = "common-prices",
-    reference_prices: tuple[float, ...] | list[float] | None = None,
-    method: IndexMethod = IndexMethod.LASPEYRES,
 ) -> CatchupResult:
     """First year the small economy's valuation reaches the big one's.
 
-    Under "common-prices" both economies are valued at one reference basket
-    (defaulting to the big economy's first-period prices); under
-    "own-nominal" each is valued at its own prices.  The naive closed-form
-    estimate from year-0 sizes and first-step real growth rates is reported
-    alongside for contrast.
+    Under "common-prices" both economies are valued at the big economy's
+    first-period prices; under "own-nominal" each is valued at its own
+    prices.  The naive closed-form estimate from year-0 sizes and
+    first-step Laspeyres real growth is reported alongside for contrast.
     """
     if reference_rule not in REFERENCE_RULES:
         raise ValidationError(f"unknown reference rule {reference_rule!r}")
-    panel_small, panel_big = _as_panel(small), _as_panel(big)
-    if panel_small.period_labels != panel_big.period_labels:
+    if small.period_labels != big.period_labels:
         raise ValidationError("economies must share the same horizon")
     if reference_rule == "common-prices":
-        ref = (
-            tuple(reference_prices)
-            if reference_prices is not None
-            else panel_big.prices(0)
-        )
-        v_small = common_price_valuations(panel_small, ref)
-        v_big = common_price_valuations(panel_big, ref)
+        ref = big.prices(0)
+        v_small = common_price_valuations(small, ref)
+        v_big = common_price_valuations(big, ref)
     else:
-        v_small = tuple(
-            nominal_gdp(panel_small, i) for i in range(panel_small.n_periods)
-        )
-        v_big = tuple(
-            nominal_gdp(panel_big, i) for i in range(panel_big.n_periods)
-        )
+        v_small = tuple(nominal_gdp(small, i) for i in range(small.n_periods))
+        v_big = tuple(nominal_gdp(big, i) for i in range(big.n_periods))
 
     naive_years: float | None
     try:
         naive_years = naive_catchup(
             v_small[0],
             v_big[0],
-            real_growth(panel_small, 0, method),
-            real_growth(panel_big, 0, method),
+            real_growth(small, 0, IndexMethod.LASPEYRES),
+            real_growth(big, 0, IndexMethod.LASPEYRES),
         )
     except (NoSolutionError, ValidationError):
         naive_years = None
@@ -176,14 +168,14 @@ def model_catchup(
     fractional_year: float | None = None
     for i, (vs, vb) in enumerate(zip(v_small, v_big)):
         if vs >= vb:
-            crossing_year = panel_small.period_labels[i]
+            crossing_year = small.period_labels[i]
             if i == 0:
                 fractional_year = float(crossing_year)
             else:
                 gap_prev = v_big[i - 1] - v_small[i - 1]
                 gap_now = v_big[i] - v_small[i]
                 frac = gap_prev / (gap_prev - gap_now)
-                year_prev = panel_small.period_labels[i - 1]
+                year_prev = small.period_labels[i - 1]
                 fractional_year = year_prev + frac * (crossing_year - year_prev)
             break
     return CatchupResult(

@@ -206,37 +206,15 @@ def inflation(panel: PricedPanel, step: int, method: IndexMethod) -> float:
     return (1.0 + g_nom) / real_factor - 1.0
 
 
-def growth_series(
+def _series(
     panel: PricedPanel,
-    method: IndexMethod | None = IndexMethod.LASPEYRES,
-    geometric_average: bool = False,
-    values: tuple[float, ...] | None = None,
+    method: IndexMethod | None,
+    rates: list[float],
+    geometric_average: bool,
 ) -> GrowthSeries:
-    """Per-step growth over the whole panel with chained level and running
-    average.
-
-    When ``values`` is given (one scalar valuation per period) the rates are
-    ratios of those valuations instead of index-method growth; this backs the
-    fixed-basket and nominal series.
-    """
+    """Chain per-step ``rates`` into a series with a running average."""
     if panel.n_periods < 2:
         raise InsufficientDataError("growth needs at least two periods")
-    if values is not None and len(values) != panel.n_periods:
-        raise ValidationError("one valuation per period required")
-    if values is None:
-        if method is None:
-            raise ValidationError("an index method is required")
-        periods = panel.periods
-        rates = [
-            _step_growth(period0, period1, method, step)
-            for step, (period0, period1) in enumerate(zip(periods, periods[1:]))
-        ]
-    else:
-        rates = []
-        for step in range(panel.n_periods - 1):
-            if values[step] <= 0.0:
-                raise DegenerateBaseError(f"zero valuation at period {step}")
-            rates.append(values[step + 1] / values[step] - 1.0)
     chained, averages = [], []
     level, total = 1.0, 0.0
     for j, rate in enumerate(rates):
@@ -248,12 +226,28 @@ def growth_series(
             total += rate
             averages.append(total / (j + 1))
     return GrowthSeries(
-        method=method if values is None else None,
+        method=method,
         rates=tuple(rates),
         chained_level=tuple(chained),
         running_average=tuple(averages),
         step_labels=tuple(panel.period_labels[1:]),
     )
+
+
+def growth_series(
+    panel: PricedPanel,
+    method: IndexMethod = IndexMethod.LASPEYRES,
+    geometric_average: bool = False,
+) -> GrowthSeries:
+    """Per-step real growth under ``method`` over the whole panel, with
+    chained level and running average (arithmetic unless
+    ``geometric_average``)."""
+    periods = panel.periods
+    rates = [
+        _step_growth(period0, period1, method, step)
+        for step, (period0, period1) in enumerate(zip(periods, periods[1:]))
+    ]
+    return _series(panel, method, rates, geometric_average)
 
 
 def circularity_residual(

@@ -88,12 +88,12 @@ def read_panel(
     text: str,
     mode: str = PAPER_COMPAT,
     start_year: int = START_YEAR,
-    sector_names: tuple[str, ...] = ("A", "B"),
 ) -> PricedPanel:
     """Parse CSV text back into a validated panel.
 
-    Malformed rows, non-finite entries, negative quantities, and
-    non-positive prices are reported with their line number.
+    A ``paper-compat`` panel's sectors are named A and B.  Malformed rows,
+    non-finite entries, negative quantities, and non-positive prices are
+    reported with their line number.
     """
     lines = [ln for ln in text.splitlines()]
     if mode == PAPER_COMPAT:
@@ -107,13 +107,13 @@ def read_panel(
                     f"line {line_no}: expected 4 fields, got {len(fields)}"
                 )
             vals = [_parse_float(f, line_no) for f in fields]
-            _check_pair(vals[0], vals[1], sector_names[0], line_no)
-            _check_pair(vals[2], vals[3], sector_names[1], line_no)
+            _check_pair(vals[0], vals[1], "A", line_no)
+            _check_pair(vals[2], vals[3], "B", line_no)
             periods.append(((vals[0], vals[1]), (vals[2], vals[3])))
         if not periods:
             raise PanelFormatError("empty panel stream")
         return PricedPanel(
-            sector_names=tuple(sector_names[:2]),
+            sector_names=("A", "B"),
             periods=tuple(periods),
             period_labels=tuple(range(start_year, start_year + len(periods))),
         )
@@ -203,6 +203,15 @@ def write_growth_series(series: GrowthSeries, with_average: bool = False) -> str
     return "\n".join(lines) + "\n"
 
 
+def _parse_bool(token: str) -> bool:
+    token = token.lower()
+    if token in ("true", "yes", "1", "on"):
+        return True
+    if token in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(token)
+
+
 def read_scenario_config(text: str) -> IslandScenario:
     """Parse a flat key=value config into a scenario, with the baseline
     economy's parameters as defaults and the middle island as default rule."""
@@ -221,53 +230,33 @@ def read_scenario_config(text: str) -> IslandScenario:
             raise PanelFormatError(f"line {line_no}: unknown key {key!r}")
         values[key] = raw.strip()
 
-    def get_float(key: str, default: float) -> float:
+    def get(key: str, default, parse):
         if key not in values:
             return default
         try:
-            return float(values[key])
+            return parse(values[key])
         except ValueError:
             raise PanelFormatError(
                 f"key {key}: unparsable value {values[key]!r}"
             ) from None
-
-    def get_int(key: str, default: int) -> int:
-        if key not in values:
-            return default
-        try:
-            return int(values[key])
-        except ValueError:
-            raise PanelFormatError(
-                f"key {key}: unparsable value {values[key]!r}"
-            ) from None
-
-    def get_bool(key: str, default: bool) -> bool:
-        if key not in values:
-            return default
-        token = values[key].lower()
-        if token in ("true", "yes", "1", "on"):
-            return True
-        if token in ("false", "no", "0", "off"):
-            return False
-        raise PanelFormatError(f"key {key}: unparsable value {values[key]!r}")
 
     rule = values.get("rule", "middle")
     spec = EconomySpec(
         sectors=(
-            SectorParams("A", get_float("lambda_A", 2.0 / 3.0),
-                         get_float("delta", 0.055)),
-            SectorParams("B", get_float("lambda_B", 2.0 / 3.0),
-                         get_float("delta", 0.055)),
+            SectorParams("A", get("lambda_A", 2.0 / 3.0, float),
+                         get("delta", 0.055, float)),
+            SectorParams("B", get("lambda_B", 2.0 / 3.0, float),
+                         get("delta", 0.055, float)),
         ),
-        total_labor=get_float("L_t", 100_000.0),
-        rate_of_return=get_float("R_c", 0.055),
-        subsistence=get_float("N0", 1.6711),
-        omega=get_float("omega", 5.0),
+        total_labor=get("L_t", 100_000.0, float),
+        rate_of_return=get("R_c", 0.055, float),
+        subsistence=get("N0", 1.6711, float),
+        omega=get("omega", 5.0, float),
     )
     schedule = build_schedule(
         rule,
-        start=get_int("start_year", START_YEAR),
-        end=get_int("end_year", END_YEAR),
-        normalize=get_bool("normalize", True),
+        start=get("start_year", START_YEAR, int),
+        end=get("end_year", END_YEAR, int),
+        normalize=get("normalize", True, _parse_bool),
     )
     return IslandScenario(name=rule, spec=spec, schedule=schedule)

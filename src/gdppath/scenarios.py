@@ -18,7 +18,6 @@ from .equilibrium import (
     EconomySpec,
     SectorParams,
     _solve_year,
-    equilibrium_output_per_labor,
     solve_equilibrium,
 )
 from .errors import CalibrationError, InfeasibleAllocationError, ValidationError
@@ -127,13 +126,12 @@ def build_schedule(
     start: int = START_YEAR,
     end: int = END_YEAR,
     normalize: bool = True,
-    target: float = T_END,
 ) -> ProductivitySchedule:
     """Build an island productivity schedule from its recursion rule.
 
     The raw recursions end near but not exactly at the common endpoint
     (about 18.93 north/south, 18.99 middle), so normalization defaults on and
-    forces both sectors to end at ``target``.
+    forces both sectors to end at ``T_END``.
     """
     if end <= start:
         raise ValidationError("end must exceed start")
@@ -144,8 +142,8 @@ def build_schedule(
         values_a.append(values_a[-1] * ma)
         values_b.append(values_b[-1] * mb)
     if normalize:
-        values_a = _normalize(values_a, target)
-        values_b = _normalize(values_b, target)
+        values_a = _normalize(values_a, T_END)
+        values_b = _normalize(values_b, T_END)
     return ProductivitySchedule(
         start_year=start,
         end_year=end,
@@ -156,14 +154,10 @@ def build_schedule(
     )
 
 
-def island_scenario(
-    rule: str,
-    spec: EconomySpec | None = None,
-    normalize: bool = True,
-) -> IslandScenario:
+def island_scenario(rule: str, normalize: bool = True) -> IslandScenario:
     return IslandScenario(
         name=rule,
-        spec=spec if spec is not None else default_spec(),
+        spec=default_spec(),
         schedule=build_schedule(rule, normalize=normalize),
     )
 
@@ -230,13 +224,14 @@ def _constant_growth_multipliers(
     """
     t_a, t_b = 1.0, 1.0
     eq = solve_equilibrium(spec, (t_a, t_b))
-    sec_a, sec_b = spec.sectors
-    c_a = equilibrium_output_per_labor(1.0, sec_a.elasticity,
-                                       spec.gross_return(sec_a))
-    c_b = equilibrium_output_per_labor(1.0, sec_b.elasticity,
-                                       spec.gross_return(sec_b))
-    scale = spec.total_labor / (sec_a.elasticity + spec.omega * sec_b.elasticity)
-    w_b = scale * spec.omega * sec_b.elasticity
+    (lam_a, exp_a, _, kappa_a), (lam_b, exp_b, _, kappa_b) = (
+        spec._sector_constants
+    )
+    # Equilibrium output per labor at T = 1.
+    c_a = kappa_a**exp_a
+    c_b = kappa_b**exp_b
+    scale = spec.total_labor / spec._labor_denominator
+    w_b = scale * spec.omega * lam_b
     n0 = spec.subsistence
     multipliers = []
     for _ in range(years):
@@ -245,7 +240,7 @@ def _constant_growth_multipliers(
         base_value = p_a * eq.outputs[0] + p_b * eq.outputs[1]
         u = c_a * t_a
         y_b = c_b * t_b_next
-        a = p_a * scale * sec_a.elasticity * u
+        a = p_a * scale * lam_a * u
         b = w_b * (p_a * n0 + p_b * y_b) - (1.0 + rate) * base_value
         c = -p_b * w_b * y_b * n0 / u
         q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
@@ -269,7 +264,6 @@ def calibrate_constant_growth(
     target_t_end: float = T_END,
     years: int = END_YEAR - START_YEAR,
     spec: EconomySpec | None = None,
-    start_year: int = START_YEAR,
 ) -> tuple[ProductivitySchedule, float]:
     """Find a schedule whose measured Laspeyres growth is the same every year.
 
@@ -278,7 +272,8 @@ def calibrate_constant_growth(
     candidate rate, and an outer bisection on the rate pins sector A's
     endpoint at ``target_t_end``.  The rate bracket is [1e-4, 0.15]; its upper
     end doubles while it still falls short, up to ``MAX_CALIBRATED_RATE``.
-    Returns the schedule and the achieved constant rate.  Raises
+    Returns the schedule, starting in ``START_YEAR``, and the achieved
+    constant rate.  Raises
     ``CalibrationError`` when no rate in the bracket reaches the target, the
     bisection does not converge, or sector A's endpoint misses the target by
     more than 1e-9 relative.
@@ -320,8 +315,8 @@ def calibrate_constant_growth(
             f"missing the target {target_t_end!r} by more than 1e-9 relative"
         )
     schedule = ProductivitySchedule(
-        start_year=start_year,
-        end_year=start_year + years,
+        start_year=START_YEAR,
+        end_year=START_YEAR + years,
         values_a=tuple(values_a),
         values_b=tuple(values_b),
         rule="constant-calibrated",

@@ -239,6 +239,23 @@ class TestExitCodes:
         assert "exceeds the maximum" in err
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("argv", [
+        ["growth", "--panel", "{bad}"],
+        ["catchup", "--small", "{bad}", "--big", "{good}"],
+        ["catchup", "--small", "{good}", "--big", "{bad}"],
+        ["simulate", "--config", "{bad}"],
+    ])
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys, argv):
+        bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+        bad.write_bytes(b"\xff1,1,1,1\n")
+        good.write_text(CHINA_CSV)
+        argv = [a.format(bad=bad, good=good) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"data error: {bad}: ")
+
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "growth", "--panel", "/nonexistent.csv")
         assert code == 2

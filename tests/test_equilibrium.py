@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -240,7 +241,7 @@ class TestSolveEquilibrium:
 # through the validated public helpers, which recomputed the capital factor
 # per sector and sector A's output per labor a second time for the labor
 # split.  Copied as it was, apart from the wage field EquilibriumPoint no
-# longer has.
+# longer has and the check that no price overflows.
 def helper_chain_solve_equilibrium(spec, productivities):
     if len(productivities) != len(spec.sectors):
         raise ValidationError(
@@ -261,6 +262,10 @@ def helper_chain_solve_equilibrium(spec, productivities):
         ks.append(k)
         ys.append(y)
         prices.append(wage / net_output)
+    if math.inf in prices:
+        raise DegenerateSectorError(
+            "cannot price a sector: its price W/(lam*y) overflows"
+        )
     if len(spec.sectors) != 2:
         raise ValidationError(
             "labor allocation implements the two-sector economy only"
@@ -343,11 +348,23 @@ class TestKernelMatchesHelperChain:
         ((1.0, 1e308), ValidationError),  # capital per labor overflows
         ((1.0,), ValidationError),
         ((1.0, 1.0, 1.0), ValidationError),
+        ((1.0, 1e-309), DegenerateSectorError),  # P_B = W/(lam*y) overflows
     ])
     def test_errors_match(self, spec, ts, error):
         got = solve_outcome(solve_equilibrium, spec, ts)
         assert got == solve_outcome(helper_chain_solve_equilibrium, spec, ts)
         assert got[0] is error
+
+    def test_nan_labor_share_is_infeasible(self, spec):
+        # With omega = 0 the labor share is lam_A + 0 * (N0/y_A), and N0/y_A
+        # overflows at a tiny T_A: 0 * inf is NaN.
+        spec = dataclasses.replace(spec, subsistence=5.0, omega=0.0)
+        ts = (1e-308, 1.0)
+        got = solve_outcome(solve_equilibrium, spec, ts)
+        assert got == solve_outcome(helper_chain_solve_equilibrium, spec, ts)
+        assert got[0] is InfeasibleAllocationError
+        with pytest.raises(InfeasibleAllocationError):
+            allocate_labor(spec, ts[0])
 
 
 class TestUtility:

@@ -33,6 +33,16 @@ class TestNaiveCatchup:
         with pytest.raises(NoSolutionError):
             naive_catchup(11.0, 18.0, 0.03, 0.03)
 
+    @pytest.mark.parametrize("args", [
+        (2.0, 5e-324, 0.0, 1.0),  # gdp_big / gdp_small underflows
+        (1.0, 2.0, -0.9999999999999999, 1e308),  # growth ratio underflows
+        (1e-300, 1e300, 0.06, 0.03),  # gdp_big / gdp_small overflows
+        (1.0, 2.0, 1e300, -0.9999999999999999),  # growth ratio overflows
+    ])
+    def test_unrepresentable_ratio_raises(self, args):
+        with pytest.raises(NoSolutionError, match="out of floating-point"):
+            naive_catchup(*args)
+
     def test_rejects_nonpositive_gdp(self):
         with pytest.raises(ValidationError):
             naive_catchup(0.0, 18.0, 0.06, 0.03)
@@ -132,8 +142,7 @@ class TestModelCatchup:
             [11.0 * 1.06**t for t in range(horizon)], start=0
         )
         big = one_sector_panel([18.0] * horizon, start=0)
-        result = model_catchup(small, big, reference_rule="common-prices",
-                               reference_prices=(1.0,))
+        result = model_catchup(small, big, reference_rule="common-prices")
         analytic = math.log(18.0 / 11.0) / math.log(1.06)
         assert result.crossing_year == math.ceil(analytic)
         assert result.fractional_year == pytest.approx(analytic, abs=0.05)

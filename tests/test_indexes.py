@@ -23,7 +23,7 @@ from gdppath import (
     path_integral_gdp,
     real_growth,
 )
-from gdppath.gap import common_price_valuations
+from gdppath.gap import common_price_growth, common_price_valuations
 
 ALL_METHODS = list(IndexMethod)
 
@@ -400,8 +400,6 @@ def oracle_growth_series(panel, method, geometric_average=False,
     rates = []
     for step in range(panel.n_periods - 1):
         if values is None:
-            if method is None:
-                raise ValidationError("an index method is required")
             rates.append(oracle_real_growth(panel, step, method))
         else:
             if values[step] <= 0.0:
@@ -439,6 +437,11 @@ def oracle_common_price_valuations(panel, reference_prices):
         sum(p * q for p, q in zip(reference_prices, panel.quantities(i)))
         for i in range(panel.n_periods)
     )
+
+
+def oracle_common_price_growth(panel, reference_prices):
+    values = oracle_common_price_valuations(panel, reference_prices)
+    return oracle_growth_series(panel, None, values=values)
 
 
 def outcome(fn, *args, **kwargs):
@@ -487,9 +490,8 @@ class TestOnePassKernel:
         reference = panel.prices(0)
         check(common_price_valuations, oracle_common_price_valuations,
               panel, reference)
-        values = common_price_valuations(panel, reference)
-        check(growth_series, oracle_growth_series, panel, None,
-              values=values)
+        check(common_price_growth, oracle_common_price_growth,
+              panel, reference)
 
     @given(panels(max_periods=12))
     def test_positive_panels(self, panel):

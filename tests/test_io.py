@@ -140,10 +140,7 @@ class TestGeneral:
     @given(panels())
     def test_round_trip_identity(self, panel):
         for mode in ([PAPER_COMPAT] if len(panel.sector_names) == 2 else []) + [GENERAL]:
-            back = read_panel(
-                write_panel(panel, mode), mode, start_year=0,
-                sector_names=panel.sector_names,
-            )
+            back = read_panel(write_panel(panel, mode), mode, start_year=0)
             assert_panels_close(panel, back)
 
 
