@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from .panel_io import (
     PAPER_COMPAT,
     read_panel,
     read_scenario_config,
-    write_growth_series,
+    write_columns,
     write_panel,
 )
 from .scenarios import (
@@ -60,6 +61,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # Take "-1e-3", "-inf" and "-nan" for values, not for flags.
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.I)
+
     # argparse exits with code 2 on bad flags; remap to the documented 1.
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
@@ -180,8 +187,8 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     panel = _load_panel(args, args.panel)
     series = growth_series(panel, _method(args.method),
                            geometric_average=args.geometric)
-    _emit(write_growth_series(series, with_average=args.with_average),
-          args.out)
+    averages = [series.running_average] if args.with_average else []
+    _emit(write_columns(series.step_labels, series.rates, *averages), args.out)
     return EXIT_OK
 
 
@@ -228,26 +235,18 @@ def _cmd_catchup(args: argparse.Namespace) -> int:
 def _cmd_demo(args: argparse.Namespace) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    panels, laspeyres = {}, {}
     for rule in ISLAND_RULES:
         panel = generate_panel(island_scenario(rule))
-        panels[rule] = panel
+        series = growth_series(panel, IndexMethod.LASPEYRES)
         (outdir / f"gdp{rule}.csv").write_text(write_panel(panel))
-    for rule, panel in panels.items():
-        series = laspeyres[rule] = growth_series(panel, IndexMethod.LASPEYRES)
-        (outdir / f"fig1a_{rule}.csv").write_text(write_growth_series(series))
-        avg_lines = [
-            f"{label},{avg:.17g}"
-            for label, avg in zip(series.step_labels, series.running_average)
-        ]
-        (outdir / f"fig1b_{rule}.csv").write_text("\n".join(avg_lines) + "\n")
-    north = laspeyres["north"]
-    paasche = growth_series(panels["north"], IndexMethod.PAASCHE)
-    fig2 = [
-        f"{label},{gl:.17g},{gp:.17g}"
-        for label, gl, gp in zip(north.step_labels, north.rates, paasche.rates)
-    ]
-    (outdir / "fig2_north.csv").write_text("\n".join(fig2) + "\n")
+        (outdir / f"fig1a_{rule}.csv").write_text(
+            write_columns(series.step_labels, series.rates))
+        (outdir / f"fig1b_{rule}.csv").write_text(
+            write_columns(series.step_labels, series.running_average))
+        if rule == "north":  # fig. 2 sets Laspeyres against Paasche
+            paasche = growth_series(panel, IndexMethod.PAASCHE)
+            (outdir / "fig2_north.csv").write_text(
+                write_columns(series.step_labels, series.rates, paasche.rates))
     print(f"wrote demo files to {outdir}")
     return EXIT_OK
 

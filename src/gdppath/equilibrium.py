@@ -44,18 +44,16 @@ def _capital_factor(elasticity: float, gross_return: float) -> float:
 
 @dataclass(frozen=True)
 class SectorParams:
-    """One production sector: output elasticity, depreciation, productivity."""
+    """One production sector: output elasticity and depreciation.  Its
+    productivity is a yearly input, not a parameter."""
 
     name: str
     elasticity: float  # lam, output elasticity of effective labor
     depreciation: float  # delta, per year
-    productivity: float = 1.0  # T, dimensionless index
 
     def __post_init__(self) -> None:
         _require_finite(
-            elasticity=self.elasticity,
-            depreciation=self.depreciation,
-            productivity=self.productivity,
+            elasticity=self.elasticity, depreciation=self.depreciation
         )
         if not 0.0 < self.elasticity < 1.0:
             raise ValidationError(
@@ -65,10 +63,6 @@ class SectorParams:
         if self.depreciation < 0.0:
             raise ValidationError(
                 f"sector {self.name}: depreciation must be >= 0"
-            )
-        if self.productivity <= 0.0:
-            raise ValidationError(
-                f"sector {self.name}: productivity must be > 0"
             )
 
 

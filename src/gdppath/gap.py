@@ -18,8 +18,9 @@ from .indexes import (
     GrowthSeries,
     IndexMethod,
     PricedPanel,
+    _deflator_inflation,
+    _finite_growth,
     _series,
-    inflation,
     nominal_gdp,
     nominal_growth,
     real_growth,
@@ -112,7 +113,7 @@ def common_price_growth(
     for step, (v0, v1) in enumerate(zip(values, values[1:])):
         if v0 <= 0.0:
             raise DegenerateBaseError(f"zero valuation at period {step}")
-        rates.append(v1 / v0 - 1.0)
+        rates.append(_finite_growth(v1 / v0 - 1.0, step))
     return _series(panel, None, rates, geometric_average=False)
 
 
@@ -121,10 +122,12 @@ def perspective_report(
 ) -> GapReport:
     """Decompose one growth step into the national view (real + inflation)
     and the international view (nominal convergence in the shared unit)."""
+    g_real = real_growth(panel, step, method)
+    g_nom = nominal_growth(panel, step)
     return GapReport(
-        national_real_growth=real_growth(panel, step, method),
-        national_inflation=inflation(panel, step, method),
-        international_growth=nominal_growth(panel, step),
+        national_real_growth=g_real,
+        national_inflation=_deflator_inflation(g_nom, g_real, step),
+        international_growth=g_nom,
         method=method,
     )
 

@@ -29,6 +29,18 @@ class IndexMethod(Enum):
     TORNQVIST = "tornqvist"
 
 
+def _entry_problem(qty: float, price: float) -> str:
+    """What is wrong with a (quantity, price) entry that fails the panel
+    rule ``0 <= qty < inf and 0 < price < inf``."""
+    if not math.isfinite(qty):
+        return f"non-finite quantity {qty}"
+    if not math.isfinite(price):
+        return f"non-finite price {price}"
+    if qty < 0.0:
+        return f"negative quantity {qty}"
+    return f"non-positive price {price}"
+
+
 @dataclass(frozen=True)
 class PricedPanel:
     """Time-indexed series of per-sector (quantity, price) pairs.
@@ -61,18 +73,10 @@ class PricedPanel:
                     f"got {len(period)}"
                 )
             for name, (qty, price) in zip(self.sector_names, period):
-                if not (math.isfinite(qty) and math.isfinite(price)):
+                if not (0.0 <= qty < math.inf and 0.0 < price < math.inf):
+                    problem = _entry_problem(qty, price)
                     raise ValidationError(
-                        f"period {i}, sector {name}: non-finite entry"
-                    )
-                if qty < 0.0:
-                    raise ValidationError(
-                        f"period {i}, sector {name}: negative quantity {qty}"
-                    )
-                if price <= 0.0:
-                    raise ValidationError(
-                        f"period {i}, sector {name}: non-positive price {price}"
-                    )
+                        f"period {i}, sector {name}: {problem}")
 
     @property
     def n_periods(self) -> int:
@@ -124,7 +128,17 @@ def nominal_growth(panel: PricedPanel, step: int) -> float:
     base = nominal_gdp(panel, step)
     if base <= 0.0:
         raise DegenerateBaseError(f"zero nominal GDP at period {step}")
-    return nominal_gdp(panel, step + 1) / base - 1.0
+    return _finite_growth(nominal_gdp(panel, step + 1) / base - 1.0, step)
+
+
+def _finite_growth(growth: float, step: int) -> float:
+    """``growth`` unless its ratio overflowed (inf, or nan from inf / inf),
+    as a positive base too close to zero makes it do."""
+    if not growth < math.inf:
+        raise DegenerateBaseError(
+            f"growth from period {step} to {step + 1} is not finite"
+        )
+    return growth
 
 
 def _step_sums(period0, period1) -> tuple[float, float, float, float]:
@@ -162,22 +176,22 @@ def _step_growth(period0, period1, method: IndexMethod, step: int) -> float:
                     f"Tornqvist quantity ratio underflows to 0 at period {step}"
                 )
             log_index += share * math.log(ratio)
-        return math.exp(log_index) - 1.0
+        return _finite_growth(math.exp(log_index) - 1.0, step)
     v00, v01, v10, v11 = _step_sums(period0, period1)
     if method is IndexMethod.LASPEYRES:
         if v00 <= 0.0:
             raise DegenerateBaseError(f"zero base value at period {step}")
-        return v01 / v00 - 1.0
+        return _finite_growth(v01 / v00 - 1.0, step)
     if method is IndexMethod.PAASCHE:
         if v10 <= 0.0:
             raise DegenerateBaseError(f"zero base value at period {step}")
-        return v11 / v10 - 1.0
+        return _finite_growth(v11 / v10 - 1.0, step)
     if method is IndexMethod.FISHER:
         if v00 <= 0.0 or v10 <= 0.0:
             raise DegenerateBaseError(f"zero base value at period {step}")
         g_l = v01 / v00 - 1.0
         g_p = v11 / v10 - 1.0
-        return math.sqrt((1.0 + g_l) * (1.0 + g_p)) - 1.0
+        return _finite_growth(math.sqrt((1.0 + g_l) * (1.0 + g_p)) - 1.0, step)
     raise ValidationError(f"unknown index method {method!r}")
 
 
@@ -197,7 +211,11 @@ def real_growth(panel: PricedPanel, step: int, method: IndexMethod) -> float:
 def inflation(panel: PricedPanel, step: int, method: IndexMethod) -> float:
     """Deflator-implied inflation: (1 + nominal) / (1 + real) - 1."""
     g_nom = nominal_growth(panel, step)
-    real_factor = 1.0 + real_growth(panel, step, method)
+    return _deflator_inflation(g_nom, real_growth(panel, step, method), step)
+
+
+def _deflator_inflation(g_nom: float, g_real: float, step: int) -> float:
+    real_factor = 1.0 + g_real
     if real_factor == 0.0:
         raise DegenerateBaseError(
             f"real output falls to zero at period {step + 1}: "

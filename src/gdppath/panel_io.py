@@ -18,12 +18,13 @@ import math
 
 from .equilibrium import EconomySpec, SectorParams
 from .errors import PanelFormatError, ValidationError
-from .indexes import GrowthSeries, PricedPanel
+from .indexes import PricedPanel, _entry_problem
 from .scenarios import (
     END_YEAR,
     START_YEAR,
     IslandScenario,
     build_schedule,
+    default_spec,
 )
 
 PAPER_COMPAT = "paper-compat"
@@ -45,34 +46,33 @@ _CONFIG_KEYS = (
 )
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def write_panel(panel: PricedPanel, mode: str = PAPER_COMPAT) -> str:
     """Serialize a panel to CSV text in the chosen layout."""
-    if mode == PAPER_COMPAT:
-        if len(panel.sector_names) != 2:
-            raise ValidationError(
-                "paper-compat layout requires exactly two sectors"
-            )
-        lines = [
-            ",".join(_fmt(v) for pair in period for v in pair)
-            for period in panel.periods
-        ]
-    elif mode == GENERAL:
-        header = ["year"]
-        for name in panel.sector_names:
-            header += [f"Y_{name}", f"P_{name}"]
-        lines = [",".join(header)]
-        for label, period in zip(panel.period_labels, panel.periods):
-            row = [str(label)]
-            for qty, price in period:
-                row += [_fmt(qty), _fmt(price)]
-            lines.append(",".join(row))
-    else:
+    if mode not in PANEL_MODES:
         raise ValidationError(f"unknown panel mode {mode!r}")
+    if mode == PAPER_COMPAT and len(panel.sector_names) != 2:
+        raise ValidationError(
+            "paper-compat layout requires exactly two sectors"
+        )
+    lines = [
+        ",".join([f"{v:.17g}" for pair in period for v in pair])
+        for period in panel.periods
+    ]
+    if mode == GENERAL:
+        columns = [f"{c}_{name}" for name in panel.sector_names for c in "YP"]
+        lines = [",".join(["year", *columns])] + [
+            f"{label},{line}"
+            for label, line in zip(panel.period_labels, lines)
+        ]
     return "\n".join(lines) + "\n"
+
+
+def write_columns(labels: tuple[int, ...], *columns: tuple[float, ...]) -> str:
+    """CSV rows of ``label,value,...``: one row per label, one column per
+    sequence of floats, each float to 17 significant digits."""
+    cells = [list(map(str, labels))]
+    cells += [[f"{v:.17g}" for v in column] for column in columns]
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def _parse_float(token: str, line_no: int) -> float:
@@ -84,6 +84,26 @@ def _parse_float(token: str, line_no: int) -> float:
         ) from None
 
 
+def _parse_header(line_no: int, header: str) -> list[str]:
+    """Sector names of a general-layout header ``year,Y_<a>,P_<a>,...``."""
+    cols = header.split(",")
+    if len(cols) < 3 or cols[0] != "year" or (len(cols) - 1) % 2 != 0:
+        raise PanelFormatError(f"line {line_no}: malformed header {header!r}")
+    names = []
+    for y_col, p_col in zip(cols[1::2], cols[2::2]):
+        if not (y_col.startswith("Y_") and p_col.startswith("P_")):
+            raise PanelFormatError(
+                f"line {line_no}: malformed column pair {y_col!r},{p_col!r}"
+            )
+        if y_col[2:] != p_col[2:]:
+            raise PanelFormatError(
+                f"line {line_no}: mismatched sector names in "
+                f"{y_col!r},{p_col!r}"
+            )
+        names.append(y_col[2:])
+    return names
+
+
 def read_panel(
     text: str,
     mode: str = PAPER_COMPAT,
@@ -91,116 +111,51 @@ def read_panel(
 ) -> PricedPanel:
     """Parse CSV text back into a validated panel.
 
-    A ``paper-compat`` panel's sectors are named A and B.  Malformed rows,
-    non-finite entries, negative quantities, and non-positive prices are
-    reported with their line number.
+    A ``paper-compat`` panel is the general layout without header or year
+    column: its sectors are A and B and its years count from
+    ``start_year``.  Malformed rows, non-finite entries, negative
+    quantities, and non-positive prices are reported with their line number.
     """
-    lines = [ln for ln in text.splitlines()]
-    if mode == PAPER_COMPAT:
-        periods = []
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            fields = line.split(",")
-            if len(fields) != 4:
-                raise PanelFormatError(
-                    f"line {line_no}: expected 4 fields, got {len(fields)}"
-                )
-            vals = [_parse_float(f, line_no) for f in fields]
-            _check_pair(vals[0], vals[1], "A", line_no)
-            _check_pair(vals[2], vals[3], "B", line_no)
-            periods.append(((vals[0], vals[1]), (vals[2], vals[3])))
-        if not periods:
-            raise PanelFormatError("empty panel stream")
-        return PricedPanel(
-            sector_names=("A", "B"),
-            periods=tuple(periods),
-            period_labels=tuple(range(start_year, start_year + len(periods))),
-        )
-    if mode == GENERAL:
-        body = [
-            (no, ln) for no, ln in enumerate(lines, start=1) if ln.strip()
-        ]
-        if not body:
-            raise PanelFormatError("empty panel stream")
-        header_no, header = body[0]
-        cols = header.split(",")
-        if len(cols) < 3 or cols[0] != "year" or (len(cols) - 1) % 2 != 0:
+    if mode not in PANEL_MODES:
+        raise ValidationError(f"unknown panel mode {mode!r}")
+    lines = enumerate(text.splitlines(), start=1)
+    rows = [(line_no, line) for line_no, line in lines if line.strip()]
+    if not rows:
+        raise PanelFormatError("empty panel stream")
+    general = mode == GENERAL
+    names = _parse_header(*rows.pop(0)) if general else ["A", "B"]
+    if not rows:
+        raise PanelFormatError("panel stream has a header but no rows")
+    width = 2 * len(names) + general  # a general row leads with its year
+    periods, labels = [], []
+    for line_no, line in rows:
+        fields = line.split(",")
+        if len(fields) != width:
             raise PanelFormatError(
-                f"line {header_no}: malformed header {header!r}"
+                f"line {line_no}: expected {width} fields, got {len(fields)}"
             )
-        names = []
-        for i in range(1, len(cols), 2):
-            if not (cols[i].startswith("Y_") and cols[i + 1].startswith("P_")):
-                raise PanelFormatError(
-                    f"line {header_no}: malformed column pair "
-                    f"{cols[i]!r},{cols[i + 1]!r}"
-                )
-            if cols[i][2:] != cols[i + 1][2:]:
-                raise PanelFormatError(
-                    f"line {header_no}: mismatched sector names in "
-                    f"{cols[i]!r},{cols[i + 1]!r}"
-                )
-            names.append(cols[i][2:])
-        periods, labels = [], []
-        for line_no, line in body[1:]:
-            fields = line.split(",")
-            if len(fields) != len(cols):
-                raise PanelFormatError(
-                    f"line {line_no}: expected {len(cols)} fields, "
-                    f"got {len(fields)}"
-                )
+        tokens = iter(fields)
+        if general:
+            year = next(tokens)
             try:
-                labels.append(int(fields[0]))
+                labels.append(int(year))
             except ValueError:
                 raise PanelFormatError(
-                    f"line {line_no}: bad year {fields[0]!r}"
+                    f"line {line_no}: bad year {year!r}"
                 ) from None
-            period = []
-            for i, name in enumerate(names):
-                qty = _parse_float(fields[1 + 2 * i], line_no)
-                price = _parse_float(fields[2 + 2 * i], line_no)
-                _check_pair(qty, price, name, line_no)
-                period.append((qty, price))
-            periods.append(tuple(period))
-        if not periods:
-            raise PanelFormatError("panel stream has a header but no rows")
-        return PricedPanel(
-            sector_names=tuple(names),
-            periods=tuple(periods),
-            period_labels=tuple(labels),
-        )
-    raise ValidationError(f"unknown panel mode {mode!r}")
-
-
-def _check_pair(qty: float, price: float, name: str, line_no: int) -> None:
-    if not math.isfinite(qty):
-        raise PanelFormatError(
-            f"line {line_no}: sector {name}: non-finite quantity {qty}"
-        )
-    if not math.isfinite(price):
-        raise PanelFormatError(
-            f"line {line_no}: sector {name}: non-finite price {price}"
-        )
-    if qty < 0.0:
-        raise PanelFormatError(
-            f"line {line_no}: sector {name}: negative quantity {qty}"
-        )
-    if price <= 0.0:
-        raise PanelFormatError(
-            f"line {line_no}: sector {name}: non-positive price {price}"
-        )
-
-
-def write_growth_series(series: GrowthSeries, with_average: bool = False) -> str:
-    """Plot-ready CSV of per-step rates (and optionally running averages)."""
-    lines = []
-    for i, (label, rate) in enumerate(zip(series.step_labels, series.rates)):
-        row = [str(label), _fmt(rate)]
-        if with_average:
-            row.append(_fmt(series.running_average[i]))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        period = []
+        for name, q_field, p_field in zip(names, tokens, tokens):
+            qty = _parse_float(q_field, line_no)
+            price = _parse_float(p_field, line_no)
+            if not (0.0 <= qty < math.inf and 0.0 < price < math.inf):
+                problem = _entry_problem(qty, price)
+                raise PanelFormatError(
+                    f"line {line_no}: sector {name}: {problem}")
+            period.append((qty, price))
+        periods.append(tuple(period))
+    if not general:
+        labels = range(start_year, start_year + len(periods))
+    return PricedPanel(tuple(names), tuple(periods), tuple(labels))
 
 
 def _parse_bool(token: str) -> bool:
@@ -241,17 +196,18 @@ def read_scenario_config(text: str) -> IslandScenario:
             ) from None
 
     rule = values.get("rule", "middle")
+    base = default_spec()
+    sectors = tuple(
+        SectorParams(s.name, get(f"lambda_{s.name}", s.elasticity, float),
+                     get("delta", s.depreciation, float))
+        for s in base.sectors
+    )
     spec = EconomySpec(
-        sectors=(
-            SectorParams("A", get("lambda_A", 2.0 / 3.0, float),
-                         get("delta", 0.055, float)),
-            SectorParams("B", get("lambda_B", 2.0 / 3.0, float),
-                         get("delta", 0.055, float)),
-        ),
-        total_labor=get("L_t", 100_000.0, float),
-        rate_of_return=get("R_c", 0.055, float),
-        subsistence=get("N0", 1.6711, float),
-        omega=get("omega", 5.0, float),
+        sectors,
+        total_labor=get("L_t", base.total_labor, float),
+        rate_of_return=get("R_c", base.rate_of_return, float),
+        subsistence=get("N0", base.subsistence, float),
+        omega=get("omega", base.omega, float),
     )
     schedule = build_schedule(
         rule,

@@ -135,6 +135,22 @@ class TestScalarCommands:
         assert code == 0
         assert float(out.strip()) == pytest.approx(17.15, abs=0.01)
 
+    def test_naive_catchup_scientific_negative(self, capsys):
+        # "-1e-3" is a value, not an option flag.
+        code, out, err = run(capsys, "catchup", "--naive",
+                             "11", "18", "-1e-3", "0.03")
+        assert (code, err) == (0, "")
+        assert out == "-16.1154\n"
+        assert run(capsys, "catchup", "--naive",
+                   "11", "18", "-0.001", "0.03") == (code, out, err)
+
+    def test_naive_catchup_negative_infinity_exit_2(self, capsys):
+        code, out, err = run(capsys, "catchup", "--naive",
+                             "11", "18", "-inf", "0.03")
+        assert code == 2
+        assert out == ""
+        assert err == "data error: growth rates must be finite\n"
+
 
 class TestDemo:
     def test_writes_all_files(self, tmp_path, capsys):
@@ -223,6 +239,22 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        *(["growth", "--method", m, "--panel", "{panel}"]
+          for m in ("laspeyres", "paasche", "fisher", "tornqvist")),
+        ["average", "--geometric", "--panel", "{panel}"],
+        ["gap", "--panel", "{panel}"],
+        ["catchup", "--small", "{panel}", "--big", "{panel}"],
+    ])
+    def test_subnormal_base_exit_2(self, tmp_path, capsys, argv):
+        # A positive base value of 1e-323 makes the growth ratio overflow.
+        panel = tmp_path / "panel.csv"
+        panel.write_text("5e-324,1,5e-324,1\n1,1,1,1\n")
+        code, out, err = run(capsys, *(a.format(panel=panel) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err == "data error: growth from period 0 to 1 is not finite\n"
 
     def test_horizon_cap_before_allocation(self, tmp_path, capsys):
         cfg = tmp_path / "long.cfg"

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gdppath import (
+    DegenerateBaseError,
     IndexMethod,
     NoSolutionError,
     PricedPanel,
@@ -85,6 +86,12 @@ class TestCommonPriceGrowth:
     def test_dimension_mismatch(self, china_panel):
         with pytest.raises(ValidationError):
             common_price_growth(china_panel, (1.0,))
+
+    def test_subnormal_valuation_not_finite(self):
+        panel = one_sector_panel([5e-324, 1.0, 2.0], start=0)
+        with pytest.raises(DegenerateBaseError,
+                           match="^growth from period 0 to 1 is not finite$"):
+            common_price_growth(panel, (1.0,))
 
     def test_nonpositive_reference(self, china_panel):
         with pytest.raises(ValidationError):
@@ -180,6 +187,15 @@ class TestModelCatchup:
             f"model crossing year {result.fractional_year:.2f} vs "
             f"naive estimate {result.naive_years:.2f}"
         )
+
+    @pytest.mark.parametrize("first", [0.0, 5e-324])
+    def test_tiny_base_refused_like_zero_base(self, first):
+        # Year-0 Laspeyres growth has no finite value either way.
+        small = one_sector_panel([first, 1.0, 2.0], start=0)
+        big = one_sector_panel([3.0, 3.0, 3.0], start=0)
+        for rule in ("common-prices", "own-nominal"):
+            with pytest.raises(DegenerateBaseError, match="period 0"):
+                model_catchup(small, big, reference_rule=rule)
 
     def test_mismatched_horizons_rejected(self, china_panel):
         other = one_sector_panel([1.0, 2.0, 3.0], start=2015)

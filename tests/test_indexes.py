@@ -101,6 +101,12 @@ class TestNominal:
         with pytest.raises(DegenerateBaseError):
             nominal_growth(p, 0)
 
+    def test_subnormal_base_not_finite(self):
+        p = panel_of([((5e-324, 1.0),), ((1.0, 1.0),)])
+        with pytest.raises(DegenerateBaseError,
+                           match="^growth from period 0 to 1 is not finite$"):
+            nominal_growth(p, 0)
+
 
 class TestRealGrowth:
     def test_china_laspeyres(self, china_panel):
@@ -119,6 +125,19 @@ class TestRealGrowth:
         p = panel_of([((0.0, 1.0), (1.0, 1.0)), ((1.0, 1.0), (1.0, 1.0))])
         with pytest.raises(MethodDomainError):
             real_growth(p, 0, IndexMethod.TORNQVIST)
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_subnormal_base_not_finite(self, method):
+        p = panel_of([((5e-324, 1.0), (5e-324, 1.0)),
+                      ((1.0, 1.0), (1.0, 1.0)),
+                      ((2.0, 1.0), (2.0, 1.0))])
+        for fn in (real_growth, inflation):
+            with pytest.raises(DegenerateBaseError,
+                               match="^growth from period 0 to 1 is not "):
+                fn(p, 0, method)
+        with pytest.raises(DegenerateBaseError, match="period 0 to 1"):
+            growth_series(p, method, geometric_average=True)
+        assert real_growth(p, 1, method) == pytest.approx(1.0)
 
     def test_laspeyres_allows_zero_quantity(self):
         p = panel_of([((0.0, 1.0), (1.0, 1.0)), ((1.0, 1.0), (1.0, 1.0))])
@@ -334,6 +353,17 @@ def left_to_right_sum(terms):
 
 
 def oracle_real_growth(panel, step, method):
+    # Growth that is not finite (a positive base so small that the ratio
+    # overflows) is refused, as in the kernel.
+    growth = unchecked_oracle_real_growth(panel, step, method)
+    if not math.isfinite(growth):
+        raise DegenerateBaseError(
+            f"growth from period {step} to {step + 1} is not finite"
+        )
+    return growth
+
+
+def unchecked_oracle_real_growth(panel, step, method):
     if not 0 <= step < panel.n_periods - 1:
         raise ValidationError(
             f"step {step} out of range for {panel.n_periods} periods"
@@ -355,8 +385,8 @@ def oracle_real_growth(panel, step, method):
             raise DegenerateBaseError(f"zero base value at period {step}")
         return basket(p1, q1) / base - 1.0
     if method is IndexMethod.FISHER:
-        g_l = oracle_real_growth(panel, step, IndexMethod.LASPEYRES)
-        g_p = oracle_real_growth(panel, step, IndexMethod.PAASCHE)
+        g_l = unchecked_oracle_real_growth(panel, step, IndexMethod.LASPEYRES)
+        g_p = unchecked_oracle_real_growth(panel, step, IndexMethod.PAASCHE)
         return math.sqrt((1.0 + g_l) * (1.0 + g_p)) - 1.0
     if method is IndexMethod.TORNQVIST:
         if any(q <= 0.0 for q in q0 + q1):
@@ -404,7 +434,12 @@ def oracle_growth_series(panel, method, geometric_average=False,
         else:
             if values[step] <= 0.0:
                 raise DegenerateBaseError(f"zero valuation at period {step}")
-            rates.append(values[step + 1] / values[step] - 1.0)
+            rate = values[step + 1] / values[step] - 1.0
+            if not math.isfinite(rate):
+                raise DegenerateBaseError(
+                    f"growth from period {step} to {step + 1} is not finite"
+                )
+            rates.append(rate)
     chained, averages = [], []
     level = 1.0
     for j, rate in enumerate(rates):
@@ -473,8 +508,7 @@ class TestOnePassKernel:
 
     def assert_same_as_oracle(self, panel):
         def check(new, old, *args, **kwargs):
-            # repr tells floats apart bit for bit, and a nan equals a nan
-            # (subnormal quantities give inf and nan growth in both engines).
+            # repr tells floats apart bit for bit, and a nan equals a nan.
             assert repr(outcome(new, *args, **kwargs)) == repr(
                 outcome(old, *args, **kwargs)
             )
