@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import re
 import sys
 from pathlib import Path
 
 from .errors import (
     CalibrationError,
+    DegenerateBaseError,
     InfeasibleAllocationError,
     ModelError,
     PanelFormatError,
@@ -188,6 +190,10 @@ def _cmd_rates(args: argparse.Namespace) -> int:
     series = growth_series(panel, _method(args.method),
                            geometric_average=args.geometric)
     averages = [series.running_average] if args.with_average else []
+    if args.with_average:  # its running sum or chained level can overflow
+        for label, average in zip(series.step_labels, series.running_average):
+            if not math.isfinite(average):
+                raise DegenerateBaseError(f"average overflows at {label}")
     _emit(write_columns(series.step_labels, series.rates, *averages), args.out)
     return EXIT_OK
 

@@ -114,7 +114,7 @@ def common_price_growth(
         if v0 <= 0.0:
             raise DegenerateBaseError(f"zero valuation at period {step}")
         rates.append(_finite_growth(v1 / v0 - 1.0, step))
-    return _series(panel, None, rates, geometric_average=False)
+    return _series(panel, rates, geometric_average=False)
 
 
 def perspective_report(

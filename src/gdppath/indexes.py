@@ -99,7 +99,6 @@ class GrowthSeries:
     ``rates[: j + 1]``.
     """
 
-    method: IndexMethod | None
     rates: tuple[float, ...]
     chained_level: tuple[float, ...]
     running_average: tuple[float, ...]
@@ -191,7 +190,10 @@ def _step_growth(period0, period1, method: IndexMethod, step: int) -> float:
             raise DegenerateBaseError(f"zero base value at period {step}")
         g_l = v01 / v00 - 1.0
         g_p = v11 / v10 - 1.0
-        return _finite_growth(math.sqrt((1.0 + g_l) * (1.0 + g_p)) - 1.0, step)
+        root = math.sqrt((1.0 + g_l) * (1.0 + g_p))
+        if root == math.inf:  # the product overflowed; its root may not
+            root = math.sqrt(1.0 + g_l) * math.sqrt(1.0 + g_p)
+        return _finite_growth(root - 1.0, step)
     raise ValidationError(f"unknown index method {method!r}")
 
 
@@ -225,10 +227,7 @@ def _deflator_inflation(g_nom: float, g_real: float, step: int) -> float:
 
 
 def _series(
-    panel: PricedPanel,
-    method: IndexMethod | None,
-    rates: list[float],
-    geometric_average: bool,
+    panel: PricedPanel, rates: list[float], geometric_average: bool
 ) -> GrowthSeries:
     """Chain per-step ``rates`` into a series with a running average."""
     if panel.n_periods < 2:
@@ -244,7 +243,6 @@ def _series(
             total += rate
             averages.append(total / (j + 1))
     return GrowthSeries(
-        method=method,
         rates=tuple(rates),
         chained_level=tuple(chained),
         running_average=tuple(averages),
@@ -265,7 +263,7 @@ def growth_series(
         _step_growth(period0, period1, method, step)
         for step, (period0, period1) in enumerate(zip(periods, periods[1:]))
     ]
-    return _series(panel, method, rates, geometric_average)
+    return _series(panel, rates, geometric_average)
 
 
 def circularity_residual(
@@ -282,8 +280,11 @@ def circularity_residual(
                 raise NotALoopError(
                     f"sector {name}: endpoints differ ({v0} vs {v1})"
                 )
-    series = growth_series(panel, method)
-    return math.log(series.chained_level[-1])
+    level = growth_series(panel, method).chained_level[-1]
+    if not 0.0 < level < math.inf:  # a rate that rounds to -100% gives 0
+        raise DegenerateBaseError(
+            f"chained level over the loop is {level!r}: no finite log")
+    return math.log(level)
 
 
 def path_integral_gdp(path: PricedPanel) -> float:

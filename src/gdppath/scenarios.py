@@ -32,7 +32,15 @@ MAX_CALIBRATED_RATE = 10.0
 # accept; checked before any yearly list is built.
 MAX_HORIZON_YEARS = 1000
 
-ISLAND_RULES = ("north", "middle", "south")
+# Each island's (m_A, m_B) step into year i >= 1: T[i] = T[i - 1] * m[i].
+_ISLAND_STEPS = {
+    "north": lambda i: (1.0 + 0.06 * (100 - i) / 99.0,
+                        1.0 + 0.06 * (i + 1) / 99.0),
+    "middle": lambda i: (1.0305, 1.0305),
+    "south": lambda i: (1.0 + 0.06 * (i + 1) / 99.0,
+                        1.0 + 0.06 * (100 - i) / 99.0),
+}
+ISLAND_RULES = tuple(_ISLAND_STEPS)
 
 
 def default_spec() -> EconomySpec:
@@ -96,23 +104,6 @@ def _check_horizon(years: int) -> None:
         )
 
 
-def _raw_multipliers(rule: str, n_steps: int) -> tuple[list[float], list[float]]:
-    mult_a, mult_b = [], []
-    for i in range(1, n_steps + 1):
-        if rule == "north":
-            mult_a.append(1.0 + 0.06 * (100 - i) / 99.0)
-            mult_b.append(1.0 + 0.06 * (i + 1) / 99.0)
-        elif rule == "south":
-            mult_a.append(1.0 + 0.06 * (i + 1) / 99.0)
-            mult_b.append(1.0 + 0.06 * (100 - i) / 99.0)
-        elif rule == "middle":
-            mult_a.append(1.0305)
-            mult_b.append(1.0305)
-        else:
-            raise ValidationError(f"unknown schedule rule {rule!r}")
-    return mult_a, mult_b
-
-
 def _normalize(series: list[float], target: float) -> list[float]:
     # Geometric adjustment spreading the endpoint correction evenly over the
     # horizon, so T(start) stays 1 and T(end) lands exactly on the target.
@@ -136,11 +127,14 @@ def build_schedule(
     if end <= start:
         raise ValidationError("end must exceed start")
     _check_horizon(end - start)
-    mult_a, mult_b = _raw_multipliers(rule, end - start)
+    if rule not in ISLAND_RULES:
+        raise ValidationError(f"unknown schedule rule {rule!r}")
+    step = _ISLAND_STEPS[rule]
     values_a, values_b = [1.0], [1.0]
-    for ma, mb in zip(mult_a, mult_b):
-        values_a.append(values_a[-1] * ma)
-        values_b.append(values_b[-1] * mb)
+    for i in range(1, end - start + 1):
+        m_a, m_b = step(i)
+        values_a.append(values_a[-1] * m_a)
+        values_b.append(values_b[-1] * m_b)
     if normalize:
         values_a = _normalize(values_a, T_END)
         values_b = _normalize(values_b, T_END)
@@ -208,11 +202,12 @@ def _bisect(f, lo: float, hi: float, tol: float, max_iter: int = 200) -> float:
     )
 
 
-def _constant_growth_multipliers(
+def _constant_growth_path(
     rate: float, mult_b: float, years: int, spec: EconomySpec
-) -> list[float]:
-    """Per-year sector-A multipliers that hold the measured one-step
-    Laspeyres growth at ``rate`` along the whole schedule.
+) -> tuple[list[float], list[float]]:
+    """Yearly productivities ``(values_a, values_b)`` from 1: sector B grows
+    by ``mult_b`` a year, and sector A so that the measured one-step
+    Laspeyres growth is ``rate`` every year.
 
     At fixed T_B, equilibrium output per labor is linear in T_A, so with
     u = y_A(T_A) and D = lam_A + omega*lam_B the next year's outputs are
@@ -233,13 +228,13 @@ def _constant_growth_multipliers(
     scale = spec.total_labor / spec._labor_denominator
     w_b = scale * spec.omega * lam_b
     n0 = spec.subsistence
-    multipliers = []
+    values_a, values_b = [t_a], [t_b]
     for _ in range(years):
-        t_b_next = t_b * mult_b
+        t_b *= mult_b
         p_a, p_b = eq.prices
         base_value = p_a * eq.outputs[0] + p_b * eq.outputs[1]
         u = c_a * t_a
-        y_b = c_b * t_b_next
+        y_b = c_b * t_b
         a = p_a * scale * lam_a * u
         b = w_b * (p_a * n0 + p_b * y_b) - (1.0 + rate) * base_value
         c = -p_b * w_b * y_b * n0 / u
@@ -249,15 +244,15 @@ def _constant_growth_multipliers(
         # root sits below the unit multiplier; clamp there and let the outer
         # bisection raise the rate (the endpoint will come out short).
         m_star = max(m_star, 1.0 + 1e-12)
-        multipliers.append(m_star)
         t_a *= m_star
         if t_a == math.inf:
             raise CalibrationError(
                 f"sector A productivity overflows at rate {rate!r}"
             )
-        t_b = t_b_next
+        values_a.append(t_a)
+        values_b.append(t_b)
         eq = solve_equilibrium(spec, (t_a, t_b))
-    return multipliers
+    return values_a, values_b
 
 
 def calibrate_constant_growth(
@@ -288,11 +283,8 @@ def calibrate_constant_growth(
 
     @functools.lru_cache(maxsize=None)
     def endpoint_gap(rate: float) -> float:
-        mults = _constant_growth_multipliers(rate, mult_b, years, economy)
-        t_end = 1.0
-        for m in mults:
-            t_end *= m
-        return t_end - target_t_end
+        values_a, _ = _constant_growth_path(rate, mult_b, years, economy)
+        return values_a[-1] - target_t_end
 
     hi = 0.15
     while endpoint_gap(hi) < 0.0:
@@ -303,11 +295,7 @@ def calibrate_constant_growth(
                 f"{target_t_end}"
             )
     rate = _bisect(endpoint_gap, 1e-4, hi, tol=1e-12)
-    multipliers = _constant_growth_multipliers(rate, mult_b, years, economy)
-    values_a, values_b = [1.0], [1.0]
-    for m in multipliers:
-        values_a.append(values_a[-1] * m)
-        values_b.append(values_b[-1] * mult_b)
+    values_a, values_b = _constant_growth_path(rate, mult_b, years, economy)
     # Written so that a NaN endpoint counts as a miss.
     if not abs(values_a[-1] - target_t_end) <= 1e-9 * target_t_end:
         raise CalibrationError(

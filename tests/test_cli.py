@@ -1,4 +1,6 @@
+import operator
 import tracemalloc
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ GOLDEN_DEMO = Path(__file__).parent / "golden" / "demo"
 
 CHINA_CSV = "2000,1,300,5\n2120,1,303,5.15\n"
 LOOP_CSV = "1,1,1,1\n2,1,1,2\n1,1,1,1\n"
+ZERO_LEVEL_LOOP = "1,1,0,1\n1e-300,1,0,1\n1,1,0,1\n"
 
 
 def run(capsys, *argv):
@@ -255,6 +258,58 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == "data error: growth from period 0 to 1 is not finite\n"
+
+    @pytest.mark.parametrize("method, text", [
+        # the first rate rounds to exactly -1, so the chained level is 0.0
+        ("laspeyres", ZERO_LEVEL_LOOP),
+        ("paasche", ZERO_LEVEL_LOOP),
+        # the second step's (1 + g_L)(1 + g_P) overflows; its root does not
+        ("fisher", ZERO_LEVEL_LOOP),
+        ("tornqvist", "1,1,1,1\n1e-300,1,1,1\n1,1,1,1\n"),
+    ], ids=["laspeyres", "paasche", "fisher", "tornqvist"])
+    def test_zero_loop_level_exit_2(self, tmp_path, capsys, method, text):
+        panel = tmp_path / "loop.csv"
+        panel.write_text(text)
+        code, out, err = run(capsys, "circularity", "--method", method,
+                             "--panel", str(panel))
+        assert code == 2
+        assert out == ""
+        assert err == ("data error: chained level over the loop is 0.0: "
+                       "no finite log\n")
+
+    def test_fisher_product_overflow(self, tmp_path, capsys):
+        # Laspeyres and Paasche growth are both 5.6e260, so the product of
+        # their factors overflows although the Fisher index does not.
+        panel = tmp_path / "one_sector.csv"
+        panel.write_text("year,Y_A,P_A\n2000,1.78e-261,1\n2001,1,1\n")
+        code, out, err = run(capsys, "growth", "--method", "fisher",
+                             "--format", "general", "--panel", str(panel))
+        assert (code, err) == (0, "")
+        year, rate = out.strip().split(",")
+        assert year == "2001"
+        assert float(rate) == pytest.approx(1 / 1.78e-261, rel=1e-15)
+
+    @pytest.mark.parametrize("flags, quantities, year, rates", [
+        # 1e308 - 1 + 1e308: the running sum overflows at the third step
+        ([], [1e-300, 1e8] * 2, 1903, ["1e+308", "-1", "1e+308"]),
+        # the chained level of 62 steps of 1e10 overflows
+        (["--geometric"], list(accumulate([1e10] * 62, operator.mul,
+                                          initial=5e-324)),
+         1931, ["9999999999"] * 62),
+    ], ids=["arithmetic", "geometric"])
+    def test_running_average_overflow_exit_2(self, tmp_path, capsys, flags,
+                                             quantities, year, rates):
+        panel = tmp_path / "panel.csv"
+        panel.write_text("".join(f"{q!r},1,{q!r},1\n" for q in quantities))
+        code, out, err = run(capsys, "average", *flags, "--panel", str(panel))
+        assert code == 2
+        assert out == ""
+        assert err == f"data error: average overflows at {year}\n"
+        # `growth` prints only the rates, which are all finite.
+        code, out, err = run(capsys, "growth", *flags, "--panel", str(panel))
+        assert (code, err) == (0, "")
+        assert out == "".join(f"{1901 + i},{rate}\n"
+                              for i, rate in enumerate(rates))
 
     def test_horizon_cap_before_allocation(self, tmp_path, capsys):
         cfg = tmp_path / "long.cfg"

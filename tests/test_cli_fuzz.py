@@ -85,7 +85,8 @@ panel_commands = st.one_of(
                                "--method=fisher", "--method=tornqvist",
                                "--method=bogus", "--geometric"])),
     st.tuples(st.just("circularity"),
-              st.sampled_from(["--method=fisher", "--method=tornqvist"])),
+              st.sampled_from(["--method=laspeyres", "--method=paasche",
+                               "--method=fisher", "--method=tornqvist"])),
     st.tuples(st.just("path-integral"), st.just("--format=paper-compat")),
     st.tuples(st.just("gap"),
               st.integers(-1, 5).map(lambda step: f"--step={step}")),

@@ -282,6 +282,23 @@ class TestCircularity:
         with pytest.raises(NotALoopError):
             circularity_residual(china_panel, IndexMethod.LASPEYRES)
 
+    @pytest.mark.parametrize("method, q_b", [
+        (IndexMethod.LASPEYRES, 0.0),
+        (IndexMethod.PAASCHE, 0.0),
+        (IndexMethod.FISHER, 0.0),
+        (IndexMethod.TORNQVIST, 1.0),  # needs positive quantities
+    ])
+    def test_zero_level_refused(self, method, q_b):
+        # The first step's rate rounds to exactly -1, so the chained level
+        # is 0.0 and has no log.
+        p = panel_of([((1.0, 1.0), (q_b, 1.0)),
+                      ((1e-300, 1.0), (q_b, 1.0)),
+                      ((1.0, 1.0), (q_b, 1.0))])
+        assert growth_series(p, method).chained_level[-1] == 0.0
+        with pytest.raises(DegenerateBaseError,
+                           match="^chained level over the loop is 0.0: "):
+            circularity_residual(p, method)
+
 
 class TestPathIntegral:
     def test_constant_price_single_sector(self):
@@ -387,7 +404,10 @@ def unchecked_oracle_real_growth(panel, step, method):
     if method is IndexMethod.FISHER:
         g_l = unchecked_oracle_real_growth(panel, step, IndexMethod.LASPEYRES)
         g_p = unchecked_oracle_real_growth(panel, step, IndexMethod.PAASCHE)
-        return math.sqrt((1.0 + g_l) * (1.0 + g_p)) - 1.0
+        root = math.sqrt((1.0 + g_l) * (1.0 + g_p))
+        if root == math.inf:  # the product overflowed; its root may not
+            root = math.sqrt(1.0 + g_l) * math.sqrt(1.0 + g_p)
+        return root - 1.0
     if method is IndexMethod.TORNQVIST:
         if any(q <= 0.0 for q in q0 + q1):
             raise MethodDomainError(
@@ -565,6 +585,14 @@ class TestOnePassKernel:
         self.assert_same_as_oracle(panel)
         with pytest.raises(error, match=message):
             growth_series(panel, method)
+
+    def test_fisher_product_overflow(self):
+        # Laspeyres and Paasche growth are both 5.6e260, so their factors'
+        # product overflows although the Fisher index does not.
+        panel = panel_of([((1.78e-261, 1.0),), ((1.0, 1.0),)])
+        self.assert_same_as_oracle(panel)
+        assert real_growth(panel, 0, IndexMethod.FISHER) == pytest.approx(
+            1 / 1.78e-261, rel=1e-15)
 
     def test_inflation_after_output_falls_to_zero(self):
         panel = panel_of([((1.0, 1.0), (1.0, 1.0)), ((0.0, 1.0), (0.0, 1.0))])

@@ -9,6 +9,8 @@ from gdppath import (
     IndexMethod,
     InfeasibleAllocationError,
     IslandScenario,
+    ModelError,
+    ProductivitySchedule,
     SectorParams,
     ValidationError,
     build_schedule,
@@ -20,9 +22,13 @@ from gdppath import (
     solve_equilibrium,
 )
 from gdppath.scenarios import (
+    ISLAND_RULES,
     MAX_HORIZON_YEARS,
+    T_END,
     _bisect,
-    _constant_growth_multipliers,
+    _check_horizon,
+    _constant_growth_path,
+    _normalize,
 )
 
 from conftest import bisect_root
@@ -79,6 +85,72 @@ class TestBuildSchedule:
             build_schedule("middle", start=1998, end=1900)
 
 
+def oracle_raw_multipliers(rule, n_steps):
+    """The island recursion before the rule table: dispatch on the rule
+    name in every step."""
+    mult_a, mult_b = [], []
+    for i in range(1, n_steps + 1):
+        if rule == "north":
+            mult_a.append(1.0 + 0.06 * (100 - i) / 99.0)
+            mult_b.append(1.0 + 0.06 * (i + 1) / 99.0)
+        elif rule == "south":
+            mult_a.append(1.0 + 0.06 * (i + 1) / 99.0)
+            mult_b.append(1.0 + 0.06 * (100 - i) / 99.0)
+        elif rule == "middle":
+            mult_a.append(1.0305)
+            mult_b.append(1.0305)
+        else:
+            raise ValidationError(f"unknown schedule rule {rule!r}")
+    return mult_a, mult_b
+
+
+def oracle_build_schedule(rule, start, end, normalize):
+    """``build_schedule`` before the rule table: the multipliers first,
+    then their products."""
+    if end <= start:
+        raise ValidationError("end must exceed start")
+    _check_horizon(end - start)
+    mult_a, mult_b = oracle_raw_multipliers(rule, end - start)
+    values_a, values_b = [1.0], [1.0]
+    for ma, mb in zip(mult_a, mult_b):
+        values_a.append(values_a[-1] * ma)
+        values_b.append(values_b[-1] * mb)
+    if normalize:
+        values_a = _normalize(values_a, T_END)
+        values_b = _normalize(values_b, T_END)
+    return ProductivitySchedule(
+        start_year=start,
+        end_year=end,
+        values_a=tuple(values_a),
+        values_b=tuple(values_b),
+        rule=rule,
+        endpoint_normalized=normalize,
+    )
+
+
+def outcome(fn, *args):
+    """The result of a call, or the type and message of the error it
+    raised.  Any error that is not a ``ModelError`` fails the test."""
+    try:
+        return fn(*args)
+    except ModelError as exc:
+        return type(exc), str(exc)
+
+
+class TestRuleTable:
+    """The rule table builds the schedules the per-step dispatch built, bit
+    for bit, and refuses the same inputs with the same errors."""
+
+    @pytest.mark.parametrize("rule", ISLAND_RULES + ("atlantis", None))
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_matches_oracle(self, rule, normalize):
+        for horizon in [*range(-2, 130), 500, 1000, 1001]:
+            args = (rule, 1900, 1900 + horizon, normalize)
+            assert repr(outcome(build_schedule, *args)) == repr(
+                outcome(oracle_build_schedule, *args)
+            )
+
+
 class TestHorizonCap:
     def test_longest_horizon_builds(self):
         s = build_schedule("middle", start=1900, end=1900 + MAX_HORIZON_YEARS)
@@ -89,7 +161,8 @@ class TestHorizonCap:
         lambda: build_schedule("middle", start=1900, end=3_000_000),
         lambda: calibrate_constant_growth(years=MAX_HORIZON_YEARS + 1),
         lambda: calibrate_constant_growth(years=3_000_000),
-    ])
+    ], ids=["schedule-1001", "schedule-3000000", "calibration-1001",
+            "calibration-3000000"])
     def test_rejected_before_allocation(self, call):
         tracemalloc.start()
         try:
@@ -274,7 +347,8 @@ class TestClosedFormMultipliers:
         ],
     )
     def test_matches_bisection_oracle(self, spec, rate, mult_b, years):
-        got = _constant_growth_multipliers(rate, mult_b, years, spec)
+        values_a, _ = _constant_growth_path(rate, mult_b, years, spec)
+        got = [b / a for a, b in zip(values_a, values_a[1:])]
         want = bisection_multipliers(rate, mult_b, years, spec)
         assert len(got) == years
         for g, w in zip(got, want):
