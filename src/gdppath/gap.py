@@ -96,10 +96,13 @@ def common_price_valuations(
     for p in reference_prices:
         if not math.isfinite(p) or p <= 0.0:
             raise ValidationError("reference prices must be positive")
-    return tuple(
-        sum(p * q for p, (q, _) in zip(reference_prices, period))
-        for period in panel.periods
-    )
+    values = []
+    for period in panel.periods:
+        total = 0.0  # left to right, as ``nominal_gdp`` adds
+        for p, (q, _) in zip(reference_prices, period):
+            total += p * q
+        values.append(total)
+    return tuple(values)
 
 
 def common_price_growth(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import (
     DegenerateBaseError,
@@ -82,6 +83,27 @@ class PricedPanel:
     def n_periods(self) -> int:
         return len(self.periods)
 
+    @cached_property
+    def _steps(self) -> tuple[tuple, ...]:
+        """One entry per step, ``(period0, period1, v00, v01, v10, v11)``:
+        the step's two periods and its four basket values (see
+        ``_step_sums``).  Built on first use, not with the panel, and shared
+        by every index, inflation and perspective call on it; the cache sits
+        in the instance ``__dict__``, outside the dataclass fields, so
+        equality, hash and repr ignore it.  A step whose values overflow
+        although its entries are finite is held scaled (see
+        ``_scaled_step``), with the scaled periods, so that Tornqvist's
+        per-sector shares match its sums."""
+        periods = self.periods
+        table = []
+        for period0, period1 in zip(periods, periods[1:]):
+            sums = _step_sums(period0, period1)
+            if math.inf in sums:
+                period0, period1 = _scaled_step(period0, period1)
+                sums = _step_sums(period0, period1)
+            table.append((period0, period1) + sums)
+        return tuple(table)
+
     def quantities(self, i: int) -> tuple[float, ...]:
         return tuple(q for q, _ in self.periods[i])
 
@@ -118,16 +140,21 @@ def nominal_gdp(panel: PricedPanel, period: int) -> float:
         raise ValidationError(
             f"period {period} out of range for {panel.n_periods} periods"
         )
-    return sum(q * p for q, p in panel.periods[period])
+    # Left to right, as ``_step_sums`` adds: the builtin ``sum`` rounds
+    # float sums differently on Python 3.12+.
+    total = 0.0
+    for q, p in panel.periods[period]:
+        total += p * q
+    return total
 
 
 def nominal_growth(panel: PricedPanel, step: int) -> float:
     """GDP_{i+1} / GDP_i - 1 at each period's own prices."""
     _check_step(panel, step)
-    base = nominal_gdp(panel, step)
+    _, _, base, _, _, gdp1 = panel._steps[step]
     if base <= 0.0:
         raise DegenerateBaseError(f"zero nominal GDP at period {step}")
-    return _finite_growth(nominal_gdp(panel, step + 1) / base - 1.0, step)
+    return _finite_growth(gdp1 / base - 1.0, step)
 
 
 def _finite_growth(growth: float, step: int) -> float:
@@ -152,23 +179,44 @@ def _step_sums(period0, period1) -> tuple[float, float, float, float]:
     return v00, v01, v10, v11
 
 
-def _step_growth(period0, period1, method: IndexMethod, step: int) -> float:
-    """Quantity growth from ``period0`` to ``period1``; ``step`` only names
-    the earlier period in error messages."""
+def _scaled_step(period0, period1):
+    """The step's two periods with every quantity times one power of two
+    and every price times another, the least shift that keeps all four
+    basket values finite.  Each value is then the unscaled sum times the same
+    power of two, with no bit lost unless the step's quantities, or its
+    prices, span more than a factor of 2**1000."""
+    entries = period0 + period1
+    exp_q = math.frexp(max(q for q, _ in entries))[1]
+    exp_p = math.frexp(max(p for _, p in entries))[1]
+    # Each product is below 2**(exp_q + exp_p), so each basket value is
+    # below 2**(exp_q + exp_p + n.bit_length()) for n sectors.
+    shift = exp_q + exp_p + len(period0).bit_length() - 1023
+    shift_q = min(shift, max(exp_q, 0))
+    shift_p = shift - shift_q
+    return tuple(
+        tuple((math.ldexp(q, -shift_q), math.ldexp(p, -shift_p))
+              for q, p in period)
+        for period in (period0, period1)
+    )
+
+
+def _step_growth(entry, method: IndexMethod, step: int) -> float:
+    """Quantity growth over one entry of ``PricedPanel._steps``; ``step``
+    only names the earlier period in error messages."""
+    period0, period1, v00, v01, v10, v11 = entry
     if method is IndexMethod.TORNQVIST:
         if any(q <= 0.0 for period in (period0, period1) for q, _ in period):
             raise MethodDomainError(
                 "Tornqvist requires strictly positive quantities"
             )
-        gdp0, _, _, gdp1 = _step_sums(period0, period1)
         # Subnormal quantities can make a period's value or a quantity
         # ratio round to zero although every quantity is positive.
-        if gdp0 <= 0.0 or gdp1 <= 0.0:
-            period = step if gdp0 <= 0.0 else step + 1
+        if v00 <= 0.0 or v11 <= 0.0:
+            period = step if v00 <= 0.0 else step + 1
             raise DegenerateBaseError(f"zero nominal GDP at period {period}")
         log_index = 0.0
         for (q0, p0), (q1, p1) in zip(period0, period1):
-            share = 0.5 * (p0 * q0 / gdp0 + p1 * q1 / gdp1)
+            share = 0.5 * (p0 * q0 / v00 + p1 * q1 / v11)
             ratio = q1 / q0
             if ratio == 0.0:
                 raise MethodDomainError(
@@ -176,7 +224,6 @@ def _step_growth(period0, period1, method: IndexMethod, step: int) -> float:
                 )
             log_index += share * math.log(ratio)
         return _finite_growth(math.exp(log_index) - 1.0, step)
-    v00, v01, v10, v11 = _step_sums(period0, period1)
     if method is IndexMethod.LASPEYRES:
         if v00 <= 0.0:
             raise DegenerateBaseError(f"zero base value at period {step}")
@@ -205,9 +252,7 @@ def real_growth(panel: PricedPanel, step: int, method: IndexMethod) -> float:
     log quantity changes by mean expenditure shares.
     """
     _check_step(panel, step)
-    return _step_growth(
-        panel.periods[step], panel.periods[step + 1], method, step
-    )
+    return _step_growth(panel._steps[step], method, step)
 
 
 def inflation(panel: PricedPanel, step: int, method: IndexMethod) -> float:
@@ -258,11 +303,8 @@ def growth_series(
     """Per-step real growth under ``method`` over the whole panel, with
     chained level and running average (arithmetic unless
     ``geometric_average``)."""
-    periods = panel.periods
-    rates = [
-        _step_growth(period0, period1, method, step)
-        for step, (period0, period1) in enumerate(zip(periods, periods[1:]))
-    ]
+    rates = [_step_growth(entry, method, step)
+             for step, entry in enumerate(panel._steps)]
     return _series(panel, rates, geometric_average)
 
 
@@ -297,7 +339,10 @@ def path_integral_gdp(path: PricedPanel) -> float:
         raise InsufficientDataError("path integral needs at least two points")
     total = 0.0
     periods = path.periods
-    for period0, period1 in zip(periods, periods[1:]):
+    for step, (period0, period1) in enumerate(zip(periods, periods[1:])):
         for (q0, p0), (q1, p1) in zip(period0, period1):
             total += 0.5 * (p0 + p1) * (q1 - q0)
+        if not math.isfinite(total):
+            raise DegenerateBaseError(
+                f"path integral overflows from period {step} to {step + 1}")
     return total

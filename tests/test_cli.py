@@ -12,6 +12,10 @@ GOLDEN_DEMO = Path(__file__).parent / "golden" / "demo"
 CHINA_CSV = "2000,1,300,5\n2120,1,303,5.15\n"
 LOOP_CSV = "1,1,1,1\n2,1,1,2\n1,1,1,1\n"
 ZERO_LEVEL_LOOP = "1,1,0,1\n1e-300,1,0,1\n1,1,0,1\n"
+# Sector A's basket value p·q is 1e310 or 2e308: finite entries whose sums
+# overflow.
+OVERFLOW_SAME = "1e300,1e10,1,1\n1e300,1e10,1,1\n"
+OVERFLOW_FALL = "1e298,2e10,1,1\n0.85e298,2e10,1,1\n"
 
 
 def run(capsys, *argv):
@@ -310,6 +314,38 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert out == "".join(f"{1901 + i},{rate}\n"
                               for i, rate in enumerate(rates))
+
+    @pytest.mark.parametrize("method", ["laspeyres", "paasche", "fisher",
+                                        "tornqvist"])
+    @pytest.mark.parametrize("text, rate", [
+        (OVERFLOW_SAME, "0"),
+        # the true growth is -15%; unscaled, 1.7e308 / inf read -100%
+        (OVERFLOW_FALL, "-0.15000000000000002"),
+    ], ids=["same", "fall"])
+    def test_overflowing_basket_is_rescaled(self, tmp_path, capsys, method,
+                                            text, rate):
+        panel = tmp_path / "panel.csv"
+        panel.write_text(text)
+        code, out, err = run(capsys, "growth", "--method", method,
+                             "--panel", str(panel))
+        assert (code, out, err) == (0, f"1901,{rate}\n", "")
+        code, out, err = run(capsys, "gap", "--method", method,
+                             "--panel", str(panel))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:3] == [
+            f"national_real_growth = {rate}",
+            "national_inflation = 0",
+            f"international_growth = {rate}",
+        ]
+
+    def test_path_integral_overflow_exit_2(self, tmp_path, capsys):
+        # The first leg's term is -inf and the second's +inf: the sum is nan.
+        panel = tmp_path / "path.csv"
+        panel.write_text("1e300,1e10,1,1\n1e-300,1,1,1\n1e300,1e10,1,1\n")
+        code, out, err = run(capsys, "path-integral", "--panel", str(panel))
+        assert (code, out) == (2, "")
+        assert err == ("data error: path integral overflows from period 0 "
+                       "to 1\n")
 
     def test_horizon_cap_before_allocation(self, tmp_path, capsys):
         cfg = tmp_path / "long.cfg"

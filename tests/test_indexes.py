@@ -21,9 +21,17 @@ from gdppath import (
     nominal_gdp,
     nominal_growth,
     path_integral_gdp,
+    perspective_report,
     real_growth,
 )
-from gdppath.gap import common_price_growth, common_price_valuations
+from gdppath import indexes
+from gdppath.gap import GapReport, common_price_growth, common_price_valuations
+from gdppath.indexes import (
+    _check_step,
+    _deflator_inflation,
+    _finite_growth,
+    _series,
+)
 
 ALL_METHODS = list(IndexMethod)
 
@@ -485,11 +493,10 @@ def oracle_path_integral_gdp(path):
 
 
 def oracle_common_price_valuations(panel, reference_prices):
-    # The checks of the reference prices are unchanged and left out.  The
-    # valuation still uses the builtin ``sum``, so the oracle does too: a
-    # spelled-out loop would differ from it on 3.12+.
+    # The checks of the reference prices are unchanged and left out.
     return tuple(
-        sum(p * q for p, q in zip(reference_prices, panel.quantities(i)))
+        left_to_right_sum(
+            p * q for p, q in zip(reference_prices, panel.quantities(i)))
         for i in range(panel.n_periods)
     )
 
@@ -611,3 +618,280 @@ class TestOnePassKernel:
             assert outcome(real_growth, panel, 0, method) == outcome(
                 oracle_real_growth, panel, 0, method
             )
+
+
+# The index engine before the step table: every index, inflation and
+# perspective call summed its step's four basket values again.  Its builtin
+# ``sum`` in ``nominal_gdp`` is spelled out as ``left_to_right_sum``, which
+# is what it computes on CPython 3.11.  The helpers the table did not touch
+# (``_check_step``, ``_finite_growth``, ``_deflator_inflation``, ``_series``)
+# are the package's own.
+
+
+def table_oracle_step_sums(period0, period1):
+    v00 = v01 = v10 = v11 = 0.0
+    for (q0, p0), (q1, p1) in zip(period0, period1):
+        v00 += p0 * q0
+        v01 += p0 * q1
+        v10 += p1 * q0
+        v11 += p1 * q1
+    return v00, v01, v10, v11
+
+
+def table_oracle_step_growth(period0, period1, method, step):
+    if method is IndexMethod.TORNQVIST:
+        if any(q <= 0.0 for period in (period0, period1) for q, _ in period):
+            raise MethodDomainError(
+                "Tornqvist requires strictly positive quantities"
+            )
+        gdp0, _, _, gdp1 = table_oracle_step_sums(period0, period1)
+        if gdp0 <= 0.0 or gdp1 <= 0.0:
+            period = step if gdp0 <= 0.0 else step + 1
+            raise DegenerateBaseError(f"zero nominal GDP at period {period}")
+        log_index = 0.0
+        for (q0, p0), (q1, p1) in zip(period0, period1):
+            share = 0.5 * (p0 * q0 / gdp0 + p1 * q1 / gdp1)
+            ratio = q1 / q0
+            if ratio == 0.0:
+                raise MethodDomainError(
+                    f"Tornqvist quantity ratio underflows to 0 at period {step}"
+                )
+            log_index += share * math.log(ratio)
+        return _finite_growth(math.exp(log_index) - 1.0, step)
+    v00, v01, v10, v11 = table_oracle_step_sums(period0, period1)
+    if method is IndexMethod.LASPEYRES:
+        if v00 <= 0.0:
+            raise DegenerateBaseError(f"zero base value at period {step}")
+        return _finite_growth(v01 / v00 - 1.0, step)
+    if method is IndexMethod.PAASCHE:
+        if v10 <= 0.0:
+            raise DegenerateBaseError(f"zero base value at period {step}")
+        return _finite_growth(v11 / v10 - 1.0, step)
+    if method is IndexMethod.FISHER:
+        if v00 <= 0.0 or v10 <= 0.0:
+            raise DegenerateBaseError(f"zero base value at period {step}")
+        g_l = v01 / v00 - 1.0
+        g_p = v11 / v10 - 1.0
+        root = math.sqrt((1.0 + g_l) * (1.0 + g_p))
+        if root == math.inf:
+            root = math.sqrt(1.0 + g_l) * math.sqrt(1.0 + g_p)
+        return _finite_growth(root - 1.0, step)
+    raise ValidationError(f"unknown index method {method!r}")
+
+
+def table_oracle_real_growth(panel, step, method):
+    _check_step(panel, step)
+    return table_oracle_step_growth(
+        panel.periods[step], panel.periods[step + 1], method, step
+    )
+
+
+def table_oracle_nominal_growth(panel, step):
+    _check_step(panel, step)
+
+    def gdp(i):
+        return left_to_right_sum(q * p for q, p in panel.periods[i])
+
+    base = gdp(step)
+    if base <= 0.0:
+        raise DegenerateBaseError(f"zero nominal GDP at period {step}")
+    return _finite_growth(gdp(step + 1) / base - 1.0, step)
+
+
+def table_oracle_inflation(panel, step, method):
+    g_nom = table_oracle_nominal_growth(panel, step)
+    return _deflator_inflation(
+        g_nom, table_oracle_real_growth(panel, step, method), step)
+
+
+def table_oracle_growth_series(panel, method, geometric_average=False):
+    periods = panel.periods
+    rates = [
+        table_oracle_step_growth(period0, period1, method, step)
+        for step, (period0, period1) in enumerate(zip(periods, periods[1:]))
+    ]
+    return _series(panel, rates, geometric_average)
+
+
+def table_oracle_perspective_report(panel, step, method):
+    g_real = table_oracle_real_growth(panel, step, method)
+    g_nom = table_oracle_nominal_growth(panel, step)
+    return GapReport(
+        national_real_growth=g_real,
+        national_inflation=_deflator_inflation(g_nom, g_real, step),
+        international_growth=g_nom,
+        method=method,
+    )
+
+
+def table_oracle_circularity_residual(panel, method):
+    # The endpoint check is unchanged and left out: only loops come here.
+    if panel.n_periods < 2:
+        raise InsufficientDataError("a loop needs at least two periods")
+    level = table_oracle_growth_series(panel, method).chained_level[-1]
+    if not 0.0 < level < math.inf:
+        raise DegenerateBaseError(
+            f"chained level over the loop is {level!r}: no finite log")
+    return math.log(level)
+
+
+# Entries whose basket values stay finite for up to eight sectors (at most
+# 8e300), with zero and subnormal quantities and subnormal prices, so that
+# zero bases, growth that is not finite and Tornqvist's domain errors come up.
+wide_quantities = st.one_of(
+    st.just(0.0),
+    st.floats(5e-324, 1e-300),
+    st.floats(0.1, 100.0),
+    st.floats(0.0, 1e150),
+)
+wide_prices = st.one_of(st.floats(0.1, 50.0), st.floats(5e-324, 1e150))
+
+
+@st.composite
+def wide_panels(draw):
+    n_sectors = draw(st.integers(1, 8))
+    n_periods = draw(st.integers(2, 6))
+    return panel_of([
+        tuple((draw(wide_quantities), draw(wide_prices))
+              for _ in range(n_sectors))
+        for _ in range(n_periods)
+    ])
+
+
+def out_and_back(panel):
+    """The panel followed by its periods in reverse: a closed loop."""
+    n = panel.n_periods
+    return panel_of(panel.periods + panel.periods[-2::-1],
+                    labels=tuple(range(2 * n - 1)))
+
+
+def fresh(panel):
+    """An equal panel with no step table built yet."""
+    return PricedPanel(panel.sector_names, panel.periods, panel.period_labels)
+
+
+class TestStepTable:
+    """Every index, inflation and perspective call reads one table of step
+    sums per panel and gives the old engine's results bit for bit."""
+
+    def assert_same_as_oracle(self, panel):
+        def check(new, old, *args):
+            # One panel object for every call, so the table is shared.
+            assert repr(outcome(new, *args)) == repr(outcome(old, *args))
+
+        loop = out_and_back(panel)
+        for method in ALL_METHODS:
+            for geometric in (False, True):
+                check(growth_series, table_oracle_growth_series, panel, method,
+                      geometric)
+            for step in range(panel.n_periods - 1):
+                check(real_growth, table_oracle_real_growth,
+                      panel, step, method)
+                check(inflation, table_oracle_inflation, panel, step, method)
+                check(perspective_report, table_oracle_perspective_report,
+                      panel, step, method)
+            check(circularity_residual, table_oracle_circularity_residual,
+                  loop, method)
+        for step in range(panel.n_periods - 1):
+            check(nominal_growth, table_oracle_nominal_growth, panel, step)
+
+    @given(wide_panels())
+    def test_matches_old_engine(self, panel):
+        self.assert_same_as_oracle(panel)
+
+    @pytest.mark.parametrize("periods", [
+        # zero quantities: Tornqvist's domain error, zero bases
+        [((0.0, 1.0), (0.0, 2.0)), ((1.0, 1.0), (0.0, 2.0)),
+         ((0.0, 3.0), (2.0, 1.0))],
+        # a subnormal base: growth that is not finite
+        [((5e-324, 1.0), (5e-324, 1.0)), ((1.0, 1.0), (1.0, 1.0))],
+        # a quantity ratio that underflows to zero
+        [((2.0, 1.0),), ((5e-324, 1.0),), ((3.0, 1.0),)],
+    ], ids=["zero-quantities", "subnormal-base", "underflowing-ratio"])
+    def test_matches_old_engine_on_errors(self, periods):
+        self.assert_same_as_oracle(panel_of(periods))
+
+    def test_one_step_sums_pass_per_panel(self, monkeypatch):
+        calls = []
+
+        def counting_step_sums(period0, period1):
+            calls.append(None)
+            return table_oracle_step_sums(period0, period1)
+
+        monkeypatch.setattr(indexes, "_step_sums", counting_step_sums)
+        panel = fresh(long_panel(n_periods=30))
+        assert calls == []  # building a panel does not build its table
+        for method in ALL_METHODS:
+            growth_series(panel, method)
+            for step in range(panel.n_periods - 1):
+                inflation(panel, step, method)
+                perspective_report(panel, step, method)
+                nominal_growth(panel, step)
+        assert len(calls) == panel.n_periods - 1
+
+    def test_table_leaves_equality_hash_and_repr(self):
+        panel, twin = fresh(long_panel(n_periods=5)), long_panel(n_periods=5)
+        growth_series(panel)
+        assert "_steps" in vars(panel) and "_steps" not in vars(twin)
+        assert panel == twin
+        assert hash(panel) == hash(twin)
+        assert repr(panel) == repr(twin)
+
+    def test_nominal_gdp_sums_left_to_right(self):
+        # The builtin sum reads 1.0000000000000002e+16 here on Python 3.12+.
+        panel = panel_of([((1e16, 1.0), (1.0, 1.0), (1.0, 1.0))] * 2)
+        assert nominal_gdp(panel, 0) == 1e16
+        assert panel._steps[0][2] == nominal_gdp(panel, 0)
+        assert common_price_valuations(panel, (1.0, 1.0, 1.0)) == (1e16, 1e16)
+
+
+class TestOverflowingStep:
+    """A step whose basket values overflow although every entry is finite
+    is computed with its entries scaled by powers of two."""
+
+    SAME = [((1e300, 1e10), (1.0, 1.0))] * 2
+    FALL = [((1e298, 2e10), (1.0, 1.0)), ((0.85e298, 2e10), (1.0, 1.0))]
+
+    def test_identical_periods_grow_by_zero(self):
+        panel = panel_of(self.SAME)
+        for method in ALL_METHODS:
+            assert real_growth(panel, 0, method) == 0.0
+            assert inflation(panel, 0, method) == 0.0
+        assert nominal_growth(panel, 0) == 0.0
+        assert nominal_gdp(panel, 0) == math.inf  # the true sum
+
+    def test_fall_by_fifteen_percent(self):
+        # v01 = 1.7e308 is finite and v00 = 2e308 is not: unscaled, the
+        # growth read -100%.
+        panel = panel_of(self.FALL)
+        for method in ALL_METHODS:
+            assert 1.0 + real_growth(panel, 0, method) == pytest.approx(
+                0.85, rel=1e-15)
+            assert inflation(panel, 0, method) == pytest.approx(0.0, abs=1e-15)
+        assert 1.0 + nominal_growth(panel, 0) == pytest.approx(0.85, rel=1e-15)
+
+    def test_prices_scaled_too(self):
+        # One sector: the quantities' exponent is too small to take the
+        # whole shift, so the prices take the rest.
+        panel = panel_of([((2.0, 1e308),), ((3.0, 1.5e308),)])
+        for method in ALL_METHODS:
+            assert real_growth(panel, 0, method) == pytest.approx(
+                0.5, rel=1e-15)
+        assert nominal_growth(panel, 0) == pytest.approx(1.25, rel=1e-15)
+
+    def test_finite_steps_keep_their_bits(self):
+        tail = [((1.5, 2.0), (3.0, 0.5)), ((1.25, 3.0), (4.0, 0.25))]
+        with_overflow = panel_of(self.FALL + tail)
+        alone = panel_of(self.FALL[1:] + tail)
+        for method in ALL_METHODS:
+            assert growth_series(with_overflow, method).rates[1:] == (
+                growth_series(alone, method).rates)
+
+    def test_path_integral_overflow(self):
+        panel = panel_of([((1e300, 1e10), (1.0, 1.0)),
+                          ((1e-300, 1.0), (1.0, 1.0)),
+                          ((1e300, 1e10), (1.0, 1.0))])
+        with pytest.raises(DegenerateBaseError,
+                           match="^path integral overflows from period 0 "
+                                 "to 1$"):
+            path_integral_gdp(panel)
