@@ -5,7 +5,6 @@ from .equilibrium import (
     EquilibriumPoint,
     SectorParams,
     allocate_labor,
-    output_per_labor,
     solve_capital_per_labor,
     solve_equilibrium,
     utility,

@@ -166,55 +166,23 @@ def solve_capital_per_labor(
     return productivity * _capital_factor(elasticity, gross_return)
 
 
-def output_per_labor(productivity: float, elasticity: float, k: float) -> float:
-    """Per-labor Cobb-Douglas output y = T^lam * k^(1-lam)."""
-    _require_finite(productivity=productivity, elasticity=elasticity, k=k)
-    if not 0.0 < elasticity < 1.0:
-        raise ValidationError("elasticity must lie in (0, 1)")
-    if productivity < 0.0 or k < 0.0:
-        raise ValidationError("productivity and k must be >= 0")
-    return productivity**elasticity * k ** (1.0 - elasticity)
-
-
-def equilibrium_output_per_labor(
-    productivity: float, elasticity: float, gross_return: float
-) -> float:
-    """Per-labor output at the equilibrium capital intensity,
-    y* = T * ((1-lam)/gross_return)^((1-lam)/lam)."""
-    k = solve_capital_per_labor(productivity, elasticity, gross_return)
-    return output_per_labor(productivity, elasticity, k)
-
-
-def allocate_labor(spec: EconomySpec, productivity_a: float) -> tuple[float, float]:
-    """Utility-maximizing labor split between sectors A and B.
-
-    L_A = L_t * (lam_A + omega*lam_B*(N0/y_A)) / (lam_A + omega*lam_B)
-    with y_A the equilibrium output per labor in sector A; L_B is the
-    complement so the adding-up constraint holds exactly.  Raises when
-    subsistence is infeasible at this productivity (L_A would exceed L_t).
-    """
-    sec_a, sec_b = spec.sectors[0], spec.sectors[1]
-    y_a = equilibrium_output_per_labor(
-        productivity_a, sec_a.elasticity, spec.gross_return(sec_a)
-    )
-    if y_a <= 0.0:
-        raise InfeasibleAllocationError(
-            "sector A produces nothing; subsistence cannot be met"
-        )
-    lam_a, lam_b = sec_a.elasticity, sec_b.elasticity
-    share = (lam_a + spec.omega * lam_b * (spec.subsistence / y_a)) / (
-        lam_a + spec.omega * lam_b
-    )
-    labor_a = spec.total_labor * share
+def _labor_split(spec: EconomySpec, lam_a: float, y_a: float):
+    """Utility-maximizing labor pair at sector A's output per labor y_A > 0:
+    L_A = L_t * (lam_A + omega*lam_B*(N0/y_A)) / (lam_A + omega*lam_B), and
+    L_B = L_t - L_A, so the adding-up constraint holds exactly.  Raises when
+    subsistence is infeasible (L_A would exceed L_t)."""
+    share = (
+        lam_a + spec._omega_lam_b * (spec.subsistence / y_a)
+    ) / spec._labor_denominator
+    total = spec.total_labor
+    labor_a = total * share
     # Written so that a NaN share (0 * inf when omega = 0) counts as infeasible.
-    if not labor_a <= spec.total_labor:
+    if not labor_a <= total:
         raise InfeasibleAllocationError(
             f"subsistence infeasible: formula requires L_A = {labor_a:.1f} "
-            f"> L_t = {spec.total_labor:.1f}"
+            f"> L_t = {total:.1f}"
         )
-    if labor_a < 0.0:
-        raise ValidationError(f"negative labor allocation L_A = {labor_a}")
-    return labor_a, spec.total_labor - labor_a
+    return labor_a, total - labor_a
 
 
 _DEGENERATE = "cannot price a sector with zero output per labor"
@@ -243,21 +211,10 @@ def _solve_year(spec: EconomySpec, t_a: float, t_b: float):
         raise DegenerateSectorError(_DEGENERATE)
     p_a = WAGE_NUMERAIRE / net_a
     p_b = WAGE_NUMERAIRE / net_b
-    if p_a == math.inf or p_b == math.inf:
+    # Written so that a NaN price (inf - inf when k overflows) counts too.
+    if not p_a < math.inf or not p_b < math.inf:
         raise DegenerateSectorError(_PRICE_OVERFLOW)
-    # The labor split of allocate_labor.
-    share = (
-        lam_a + spec._omega_lam_b * (spec.subsistence / y_a)
-    ) / spec._labor_denominator
-    total = spec.total_labor
-    labor_a = total * share
-    # NaN-safe, as in allocate_labor.
-    if not labor_a <= total:
-        raise InfeasibleAllocationError(
-            f"subsistence infeasible: formula requires L_A = {labor_a:.1f} "
-            f"> L_t = {total:.1f}"
-        )
-    labor_b = total - labor_a
+    labor_a, labor_b = _labor_split(spec, lam_a, y_a)
     return (
         (k_a, k_b),
         (y_a, y_b),
@@ -265,6 +222,21 @@ def _solve_year(spec: EconomySpec, t_a: float, t_b: float):
         (labor_a, labor_b),
         (labor_a * y_a, labor_b * y_b),
     )
+
+
+def allocate_labor(spec: EconomySpec, productivity_a: float) -> tuple[float, float]:
+    """The kernel's labor split at productivity T_A, with T_A and sector A's
+    capital per labor checked.  Raises when sector A produces nothing or
+    subsistence is infeasible at this productivity."""
+    lam_a, exp_a, gr_a, _ = spec._sector_constants[0]
+    k_a = solve_capital_per_labor(productivity_a, lam_a, gr_a)
+    _require_finite(k=k_a)
+    y_a = productivity_a**lam_a * k_a**exp_a
+    if y_a <= 0.0:
+        raise InfeasibleAllocationError(
+            "sector A produces nothing; subsistence cannot be met"
+        )
+    return _labor_split(spec, lam_a, y_a)
 
 
 def solve_equilibrium(

@@ -146,6 +146,8 @@ def model_catchup(
     first-period prices; under "own-nominal" each is valued at its own
     prices.  The naive closed-form estimate from year-0 sizes and
     first-step Laspeyres real growth is reported alongside for contrast.
+    On simulated panels "own-nominal" compares labor forces: under the wage
+    numeraire own-price GDP is sum L_a/lam_a every year.
     """
     if reference_rule not in REFERENCE_RULES:
         raise ValidationError(f"unknown reference rule {reference_rule!r}")

@@ -266,7 +266,8 @@ def calibrate_constant_growth(
     multiplier is the closed-form root that makes the measured growth equal a
     candidate rate, and an outer bisection on the rate pins sector A's
     endpoint at ``target_t_end``.  The rate bracket is [1e-4, 0.15]; its upper
-    end doubles while it still falls short, up to ``MAX_CALIBRATED_RATE``.
+    end doubles while it still falls short, up to ``MAX_CALIBRATED_RATE``,
+    and its lower end drops to 0 when the rate 1e-4 already overshoots.
     Returns the schedule, starting in ``START_YEAR``, and the achieved
     constant rate.  Raises
     ``CalibrationError`` when no rate in the bracket reaches the target, the
@@ -294,7 +295,8 @@ def calibrate_constant_growth(
                 f"no constant rate up to {hi / 2.0} reaches the endpoint "
                 f"{target_t_end}"
             )
-    rate = _bisect(endpoint_gap, 1e-4, hi, tol=1e-12)
+    lo = 0.0 if endpoint_gap(1e-4) > 0.0 else 1e-4
+    rate = _bisect(endpoint_gap, lo, hi, tol=1e-12)
     values_a, values_b = _constant_growth_path(rate, mult_b, years, economy)
     # Written so that a NaN endpoint counts as a miss.
     if not abs(values_a[-1] - target_t_end) <= 1e-9 * target_t_end:

@@ -10,21 +10,28 @@ from gdppath import (
     EconomySpec,
     EquilibriumPoint,
     InfeasibleAllocationError,
+    IslandScenario,
     ModelError,
+    ProductivitySchedule,
     SectorParams,
     ValidationError,
     allocate_labor,
-    output_per_labor,
+    generate_panel,
     solve_capital_per_labor,
     solve_equilibrium,
     utility,
 )
-from gdppath.equilibrium import WAGE_NUMERAIRE, equilibrium_output_per_labor
+from gdppath.equilibrium import WAGE_NUMERAIRE, _solve_year
 
 from conftest import bisect_root, golden_section_max
 
 LAM = 2.0 / 3.0
 GR = 0.11  # R_c + delta for the baseline economy
+
+
+def cobb_douglas(t, lam, k):
+    """Per-labor output y = T^lam * k^(1-lam)."""
+    return t**lam * k ** (1.0 - lam)
 
 
 class TestCapitalPerLabor:
@@ -77,54 +84,18 @@ class TestCapitalPerLabor:
         k = solve_capital_per_labor(t, lam, gr)
         h = k * 1e-6
         slope = (
-            output_per_labor(t, lam, k + h) - output_per_labor(t, lam, k - h)
+            cobb_douglas(t, lam, k + h) - cobb_douglas(t, lam, k - h)
         ) / (2.0 * h)
         assert slope == pytest.approx(gr, rel=1e-6)
-
-
-class TestOutputPerLabor:
-    def test_baseline(self):
-        y = output_per_labor(1.0, LAM, 5.27508)
-        assert y == pytest.approx(1.74078, rel=1e-5)
-        # cube of y recovers k for lam = 2/3, T = 1
-        assert y**3 == pytest.approx(5.27508, rel=1e-4)
-
-    def test_identity_case(self):
-        assert output_per_labor(1.0, LAM, 1.0) == pytest.approx(1.0)
-
-    def test_homogeneity(self):
-        y1 = output_per_labor(1.0, LAM, 5.27508)
-        y = output_per_labor(18.93, LAM, 18.93 * 5.27508)
-        assert y == pytest.approx(18.93 * y1, rel=1e-12)
-        assert y == pytest.approx(32.953, rel=1e-4)
-
-    def test_rejects_bad_elasticity(self):
-        with pytest.raises(ValidationError):
-            output_per_labor(1.0, 1.2, 1.0)
-
-    @given(
-        t=st.floats(0.01, 50.0),
-        lam=st.floats(0.1, 0.9),
-        k=st.floats(0.01, 50.0),
-        labor=st.floats(1.0, 1e6),
-        z=st.sampled_from([0.5, 2.0, 10.0]),
-    )
-    def test_constant_returns_to_scale(self, t, lam, k, labor, z):
-        # Total output from (z*L, z*K) equals z times output from (L, K).
-        base = labor * output_per_labor(t, lam, k)
-        scaled = (z * labor) * output_per_labor(t, lam, (z * k * labor) / (z * labor))
-        assert scaled == pytest.approx(z * base, rel=1e-12)
 
 
 class TestAllocateLabor:
     def _oracle(self, spec, t_a):
         # Maximize utility over L_A with per-labor outputs at equilibrium.
-        sec_a, sec_b = spec.sectors
-        y_a = equilibrium_output_per_labor(
-            t_a, sec_a.elasticity, spec.gross_return(sec_a)
-        )
-        y_b = equilibrium_output_per_labor(
-            t_a, sec_b.elasticity, spec.gross_return(sec_b)
+        y_a, y_b = (
+            cobb_douglas(t_a, s.elasticity, solve_capital_per_labor(
+                t_a, s.elasticity, spec.gross_return(s)))
+            for s in spec.sectors
         )
 
         def u_of(labor_a):
@@ -181,6 +152,10 @@ class TestAllocateLabor:
             labor_a, labor_b = allocate_labor(spec, t_a)
             assert labor_a + labor_b == spec.total_labor
 
+    def test_zero_productivity_produces_nothing(self, spec):
+        with pytest.raises(InfeasibleAllocationError, match="produces nothing"):
+            allocate_labor(spec, 0.0)
+
 
 class TestSolveEquilibrium:
     def test_baseline_composition(self, spec):
@@ -232,28 +207,86 @@ class TestSolveEquilibrium:
                     eq.prices[i], eq.labor[i], eq.outputs[i],
                 ))
 
+    def test_own_price_gdp_is_labor_over_elasticity(self, spec):
+        # P*Y = W/(lam*y) * L*y = L/lam per sector, whatever the
+        # productivities: own-price GDP is L_t/lam = 150000 every year.
+        for ts in ((1.0, 1.0), (3.0, 1.5), (18.93, 3.0), (100.0, 250.0)):
+            eq = solve_equilibrium(spec, ts)
+            gdp = sum(p * q for p, q in zip(eq.prices, eq.outputs))
+            assert gdp == pytest.approx(
+                sum(la / s.elasticity for la, s in zip(eq.labor, spec.sectors)),
+                rel=1e-12,
+            )
+            assert gdp == pytest.approx(150_000.0, rel=1e-12)
+
     def test_wrong_productivity_count(self, spec):
         with pytest.raises(ValidationError):
             solve_equilibrium(spec, (1.0,))
 
+    def test_overflowing_output_is_degenerate_not_nan(self, spec):
+        # k = 1e308 * 5.275 overflows, so y - k*gr is inf - inf and the price
+        # NaN; the kernel refuses it instead of handing on a NaN price.
+        with pytest.raises(DegenerateSectorError, match="overflows"):
+            _solve_year(spec, 1e308, 1.0)
+        schedule = ProductivitySchedule(1900, 1901, (1.0, 1e308), (1.0, 2.0),
+                                        "hand-built", False)
+        with pytest.raises(DegenerateSectorError, match="overflows"):
+            generate_panel(IslandScenario("hand-built", spec, schedule))
 
-# solve_equilibrium as it was before the spec-compiled kernel: each year went
-# through the validated public helpers, which recomputed the capital factor
-# per sector and sector A's output per labor a second time for the labor
-# split.  Copied as it was, apart from the wage field EquilibriumPoint no
-# longer has and the check that no price overflows.
+
+# solve_equilibrium as it was before the spec-compiled kernel, when each year
+# went through the validated public helpers: solve_capital_per_labor and
+# output_per_labor per sector, then allocate_labor, which recomputed sector
+# A's output per labor for the labor split.  Written out here so that the
+# reference calls nothing in gdppath; it keeps the helpers' checks and
+# messages, and differs from the old chain only in the wage field
+# EquilibriumPoint no longer has and the check that no price overflows.
+def reference_capital_per_labor(t, lam, gr):
+    """solve_capital_per_labor's closed form, then output_per_labor's
+    finite-k check (lam and gr are valid for every spec)."""
+    if not math.isfinite(t):
+        raise ValidationError(f"productivity must be finite, got {t!r}")
+    if t < 0.0:
+        raise ValidationError("productivity must be >= 0")
+    k = t * ((1.0 - lam) / gr) ** (1.0 / lam) if t != 0.0 else 0.0
+    if not math.isfinite(k):
+        raise ValidationError(f"k must be finite, got {k!r}")
+    return k
+
+
+def reference_allocate_labor(spec, t_a):
+    """allocate_labor before the kernel's labor split was shared."""
+    (sec_a, sec_b), total = spec.sectors, spec.total_labor
+    lam_a, lam_b = sec_a.elasticity, sec_b.elasticity
+    gr_a = spec.rate_of_return + sec_a.depreciation
+    y_a = cobb_douglas(t_a, lam_a, reference_capital_per_labor(t_a, lam_a, gr_a))
+    if y_a <= 0.0:
+        raise InfeasibleAllocationError(
+            "sector A produces nothing; subsistence cannot be met"
+        )
+    share = (lam_a + spec.omega * lam_b * (spec.subsistence / y_a)) / (
+        lam_a + spec.omega * lam_b
+    )
+    labor_a = total * share
+    if not labor_a <= total:
+        raise InfeasibleAllocationError(
+            f"subsistence infeasible: formula requires L_A = {labor_a:.1f} "
+            f"> L_t = {total:.1f}"
+        )
+    return labor_a, total - labor_a
+
+
 def helper_chain_solve_equilibrium(spec, productivities):
     if len(productivities) != len(spec.sectors):
         raise ValidationError(
             f"expected {len(spec.sectors)} productivities, "
             f"got {len(productivities)}"
         )
-    wage = WAGE_NUMERAIRE
     ks, ys, prices = [], [], []
     for sector, t in zip(spec.sectors, productivities):
-        gr = spec.gross_return(sector)
-        k = solve_capital_per_labor(t, sector.elasticity, gr)
-        y = output_per_labor(t, sector.elasticity, k)
+        gr = spec.rate_of_return + sector.depreciation
+        k = reference_capital_per_labor(t, sector.elasticity, gr)
+        y = cobb_douglas(t, sector.elasticity, k)
         net_output = y - k * gr
         if net_output <= 0.0:
             raise DegenerateSectorError(
@@ -261,25 +294,19 @@ def helper_chain_solve_equilibrium(spec, productivities):
             )
         ks.append(k)
         ys.append(y)
-        prices.append(wage / net_output)
+        prices.append(WAGE_NUMERAIRE / net_output)
     if math.inf in prices:
         raise DegenerateSectorError(
             "cannot price a sector: its price W/(lam*y) overflows"
         )
-    if len(spec.sectors) != 2:
-        raise ValidationError(
-            "labor allocation implements the two-sector economy only"
-        )
-    labor_a, labor_b = allocate_labor(spec, productivities[0])
-    labors = [labor_a, labor_b]
-    outputs = [la * y for la, y in zip(labors, ys)]
+    labors = reference_allocate_labor(spec, productivities[0])
     return EquilibriumPoint(
         sector_names=tuple(s.name for s in spec.sectors),
         capital_per_labor=tuple(ks),
         output_per_labor=tuple(ys),
         prices=tuple(prices),
-        labor=tuple(labors),
-        outputs=tuple(outputs),
+        labor=labors,
+        outputs=tuple(la * y for la, y in zip(labors, ys)),
     )
 
 
@@ -338,6 +365,16 @@ class TestKernelMatchesHelperChain:
                 solve_outcome(helper_chain_solve_equilibrium, spec, ts)
             )
 
+    @given(spec=two_sector_specs(), t_a=st.one_of(
+        st.floats(),
+        st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e308, math.inf, math.nan]),
+    ))
+    @settings(max_examples=300)
+    def test_allocate_labor_matches_reference(self, spec, t_a):
+        assert repr(solve_outcome(allocate_labor, spec, t_a)) == repr(
+            solve_outcome(reference_allocate_labor, spec, t_a)
+        )
+
     @pytest.mark.parametrize("ts, error", [
         ((0.5, 1.0), InfeasibleAllocationError),
         ((0.0, 1.0), DegenerateSectorError),
@@ -382,6 +419,11 @@ class TestUtility:
 
     def test_negative_below_subsistence(self, spec):
         assert utility(spec, 0.0, spec.total_labor) < 0.0
+
+    @pytest.mark.parametrize("outputs", [(-1.0, 1.0), (1.0, -1.0)])
+    def test_rejects_negative_output(self, spec, outputs):
+        with pytest.raises(ValidationError, match="outputs must be >= 0"):
+            utility(spec, *outputs)
 
 
 class TestSpecValidation:
@@ -428,6 +470,17 @@ class TestSpecValidation:
             f"EconomySpec(sectors={spec.sectors!r}, total_labor=100000.0, "
             "rate_of_return=0.055, subsistence=1.6711, omega=5.0)"
         )
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("total_labor", 0.0, "total_labor must be > 0"),
+        ("total_labor", -1.0, "total_labor must be > 0"),
+        ("subsistence", -0.1, "subsistence must be >= 0"),
+        ("omega", -1.0, "omega must be >= 0"),
+        ("rate_of_return", -0.1, r"sector A: gross return R_c \+ delta must "),
+    ])
+    def test_rejects_out_of_range_parameter(self, spec, field, value, message):
+        with pytest.raises(ValidationError, match=message):
+            dataclasses.replace(spec, **{field: value})
 
     @pytest.mark.parametrize("bad", [0, 1])
     def test_overflowing_capital_names_sector(self, bad):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -7,12 +8,17 @@ from hypothesis import strategies as st
 from gdppath import (
     DegenerateBaseError,
     IndexMethod,
+    IslandScenario,
     NoSolutionError,
     PricedPanel,
+    ProductivitySchedule,
     ValidationError,
     common_price_growth,
+    default_spec,
+    generate_panel,
     model_catchup,
     naive_catchup,
+    nominal_gdp,
     perspective_report,
     real_growth,
 )
@@ -47,6 +53,11 @@ class TestNaiveCatchup:
     def test_rejects_nonpositive_gdp(self):
         with pytest.raises(ValidationError):
             naive_catchup(0.0, 18.0, 0.06, 0.03)
+
+    @pytest.mark.parametrize("g_small, g_big", [(-1.0, 0.03), (0.06, -1.5)])
+    def test_rejects_fall_of_100_percent_or_more(self, g_small, g_big):
+        with pytest.raises(ValidationError, match="must exceed -100%"):
+            naive_catchup(11.0, 18.0, g_small, g_big)
 
     @given(
         c=st.floats(0.01, 100.0),
@@ -205,3 +216,76 @@ class TestModelCatchup:
     def test_unknown_rule(self, china_panel):
         with pytest.raises(ValidationError):
             model_catchup(china_panel, china_panel, reference_rule="martian")
+
+
+def constant_growth_panel(spec, growth_a, growth_b, years=98):
+    """The spec's panel over a hand-built schedule that grows each sector by
+    a constant rate from 1900."""
+    values_a, values_b = [1.0], [1.0]
+    for _ in range(years):
+        values_a.append(values_a[-1] * (1.0 + growth_a))
+        values_b.append(values_b[-1] * (1.0 + growth_b))
+    schedule = ProductivitySchedule(1900, 1900 + years, tuple(values_a),
+                                    tuple(values_b), "hand-built", False)
+    return generate_panel(IslandScenario("hand-built", spec, schedule))
+
+
+BIG_SPEC = default_spec()
+# Same economy with 11/18 of the labor force: year-0 GDP is 11 against 18.
+SMALL_SPEC = dataclasses.replace(
+    BIG_SPEC, total_labor=BIG_SPEC.total_labor * 11.0 / 18.0
+)
+
+
+class TestCatchupInTheModel:
+    """The abstract's 11*1.06^X = 18*1.03^X, asked of two model economies:
+    the big one grows every sector 3% a year, the small one as given."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        return constant_growth_panel(BIG_SPEC, 0.03, 0.03)
+
+    def test_flat_case_agrees_with_naive(self, big):
+        # Relative prices never move, so every index reads 6% and 3% and
+        # the model differs from the closed form only by interpolating
+        # linearly between years.
+        small = constant_growth_panel(SMALL_SPEC, 0.06, 0.06)
+        result = model_catchup(small, big, reference_rule="common-prices")
+        assert result.crossing_year == 1918
+        assert result.fractional_year - 1900 == pytest.approx(17.148, abs=5e-4)
+        assert result.naive_years == pytest.approx(17.153, abs=5e-4)
+        assert result.naive_years == pytest.approx(
+            naive_catchup(11.0, 18.0, 0.06, 0.03), rel=1e-9
+        )
+        assert abs(result.fractional_year - 1900 - result.naive_years) < 1.0
+
+    @pytest.mark.parametrize("growth_a, growth_b, model_years, naive_years", [
+        (0.02, 0.10, 19.54, -83.2),  # the first step reads slower than 3%
+        (0.10, 0.02, 19.49, 8.49),
+    ])
+    def test_curved_cases_depart_from_naive(
+        self, big, growth_a, growth_b, model_years, naive_years
+    ):
+        small = constant_growth_panel(SMALL_SPEC, growth_a, growth_b)
+        result = model_catchup(small, big, reference_rule="common-prices")
+        assert result.crossing_year == 1920
+        assert result.fractional_year - 1900 == pytest.approx(
+            model_years, abs=5e-3
+        )
+        assert result.naive_years == pytest.approx(naive_years, abs=5e-2)
+
+    @pytest.mark.parametrize("growth_a, growth_b", [
+        (0.06, 0.06), (0.02, 0.10), (0.10, 0.02),
+    ])
+    def test_own_nominal_never_crosses(self, big, growth_a, growth_b):
+        # Under the wage numeraire own-price GDP is sum L_a/lam_a, the labor
+        # force over 2/3, every year: the rule compares labor forces.
+        small = constant_growth_panel(SMALL_SPEC, growth_a, growth_b)
+        for panel, spec in ((small, SMALL_SPEC), (big, BIG_SPEC)):
+            for i in range(panel.n_periods):
+                assert nominal_gdp(panel, i) == pytest.approx(
+                    1.5 * spec.total_labor, rel=1e-12
+                )
+        result = model_catchup(small, big, reference_rule="own-nominal")
+        assert result.crossing_year is None
+        assert result.fractional_year is None

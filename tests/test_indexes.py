@@ -80,6 +80,15 @@ class TestPanelValidation:
         with pytest.raises(ValidationError):
             PricedPanel(("A", "B"), (((1.0, 1.0),),), (0,))
 
+    @pytest.mark.parametrize("names, labels, message", [
+        ((), (0,), "at least one sector"),
+        (("A",), (0, 1), "one label per period"),
+        (("A",), (), "one label per period"),
+    ])
+    def test_rejects_bad_shape(self, names, labels, message):
+        with pytest.raises(ValidationError, match=message):
+            PricedPanel(names, (((1.0, 1.0),),), labels)
+
 
 class TestNominal:
     def test_us_2015(self, us_panel):
@@ -289,6 +298,10 @@ class TestCircularity:
     def test_not_a_loop(self, china_panel):
         with pytest.raises(NotALoopError):
             circularity_residual(china_panel, IndexMethod.LASPEYRES)
+
+    def test_single_period_insufficient(self):
+        with pytest.raises(InsufficientDataError, match="at least two periods"):
+            circularity_residual(panel_of([((1.0, 1.0),)]))
 
     @pytest.mark.parametrize("method, q_b", [
         (IndexMethod.LASPEYRES, 0.0),

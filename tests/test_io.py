@@ -131,6 +131,17 @@ class TestGeneral:
         with pytest.raises(PanelFormatError):
             read_panel("year,Y_A,P_B\n0,1,1\n", GENERAL)
 
+    @pytest.mark.parametrize("header", ["year,P_A,Y_A", "year,Y_A,Q_A"])
+    def test_malformed_column_pair(self, header):
+        with pytest.raises(PanelFormatError,
+                           match="^line 1: malformed column pair "):
+            read_panel(f"{header}\n0,1,1\n", GENERAL)
+
+    @pytest.mark.parametrize("mode", ["csv", "", None])
+    def test_unknown_mode(self, mode):
+        with pytest.raises(ValidationError, match="unknown panel mode"):
+            read_panel("1,1,1,1\n", mode)
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("column, what", [(1, "quantity"), (2, "price")])
     def test_non_finite_names_line(self, token, column, what):

@@ -85,6 +85,20 @@ class TestBuildSchedule:
             build_schedule("middle", start=1998, end=1900)
 
 
+class TestScheduleValidation:
+    @pytest.mark.parametrize("end, values_a, message", [
+        (1900, (1.0,), "end_year must exceed start_year"),
+        (1901, (1.0, 1.1, 1.2), "schedule needs 2 yearly values per sector"),
+        (1901, (1.5, 1.6), "productivity must start at 1"),
+        (1901, (1.0, 1.0), "positive and strictly increasing"),
+    ])
+    def test_rejects(self, end, values_a, message):
+        values_b = tuple(1.0 + 0.1 * i for i in range(end - 1900 + 1))
+        with pytest.raises(ValidationError, match=message):
+            ProductivitySchedule(1900, end, values_a, values_b, "hand-built",
+                                 False)
+
+
 def oracle_raw_multipliers(rule, n_steps):
     """The island recursion before the rule table: dispatch on the rule
     name in every step."""
@@ -373,6 +387,21 @@ class TestCalibrationBracket:
         assert rate > 0.15
         assert_constant_laspeyres(schedule, rate, target)
 
+    @pytest.mark.parametrize("target", [1.001, 1.0001])
+    def test_target_near_one(self, target):
+        # Even the rate 1e-4 overshoots these, so the bracket starts at 0.
+        schedule, rate = calibrate_constant_growth(target, 98)
+        assert 0.0 < rate < 1e-4
+        assert_constant_laspeyres(schedule, rate, target)
+
+    def test_target_below_the_clamp_gives_up(self):
+        # At rate 0 every sector-A multiplier is clamped to 1 + 1e-12, whose
+        # 98th power already overshoots 1 + 1e-11.
+        with pytest.raises(CalibrationError, match=(
+            r"^bracket \[0\.0, 0\.15\] does not enclose a root"
+        )):
+            calibrate_constant_growth(1.0 + 1e-11, 98)
+
     def test_unreachable_target_gives_up(self):
         with pytest.raises(CalibrationError, match="no constant rate up to"):
             calibrate_constant_growth(1e300, 1)
@@ -392,6 +421,10 @@ class TestCalibrationBracket:
 
 
 class TestNoSilentResults:
+    @pytest.mark.parametrize("root", [0.0, 1.0])
+    def test_bisect_returns_a_root_at_an_end(self, root):
+        assert _bisect(lambda x: x - root, 0.0, 1.0, tol=1e-12) == root
+
     def test_bisect_raises_when_out_of_steps(self):
         with pytest.raises(CalibrationError, match="did not converge"):
             _bisect(lambda x: x - 0.3, 0.0, 1.0, tol=1e-12, max_iter=10)
