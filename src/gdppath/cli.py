@@ -134,10 +134,12 @@ def _build_parser() -> argparse.ArgumentParser:
             + (" with running average" if avg else ""),
         )
         p.add_argument("--method", default="laspeyres")
-        p.add_argument("--geometric", action="store_true",
-                       help="geometric instead of arithmetic running average")
+        if avg:
+            p.add_argument("--geometric", action="store_true",
+                           help="geometric instead of arithmetic running "
+                                "average")
         p.add_argument("--out")
-        p.set_defaults(run=_cmd_rates, with_average=avg)
+        p.set_defaults(run=_cmd_rates, with_average=avg, geometric=False)
 
     p = sub.add_parser("circularity", parents=[panel, layout],
                        help="log chained level over a loop")
@@ -267,10 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InfeasibleAllocationError, CalibrationError) as exc:
         print(f"model infeasibility: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ModelError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (ModelError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -20,7 +20,12 @@ from .equilibrium import (
     _solve_year,
     solve_equilibrium,
 )
-from .errors import CalibrationError, InfeasibleAllocationError, ValidationError
+from .errors import (
+    CalibrationError,
+    DegenerateSectorError,
+    InfeasibleAllocationError,
+    ValidationError,
+)
 from .indexes import PricedPanel
 
 START_YEAR = 1900
@@ -60,33 +65,31 @@ def default_spec() -> EconomySpec:
 
 @dataclass(frozen=True)
 class ProductivitySchedule:
-    """Yearly productivity for both sectors, start through end inclusive."""
+    """Yearly productivity of both sectors from ``start_year`` on, one value
+    per year; the last year follows from the number of values."""
 
     start_year: int
-    end_year: int
     values_a: tuple[float, ...]
     values_b: tuple[float, ...]
-    rule: str
-    endpoint_normalized: bool
 
     def __post_init__(self) -> None:
-        n = self.end_year - self.start_year + 1
-        if self.end_year <= self.start_year:
-            raise ValidationError("end_year must exceed start_year")
-        if len(self.values_a) != n or len(self.values_b) != n:
-            raise ValidationError(f"schedule needs {n} yearly values per sector")
+        if len(self.values_a) < 2 or len(self.values_b) != len(self.values_a):
+            raise ValidationError(
+                "schedule needs at least 2 yearly values, as many per sector"
+            )
+        # Written so that a NaN or infinite value counts as a fault.
         for series in (self.values_a, self.values_b):
-            if abs(series[0] - 1.0) > 1e-12:
+            if not abs(series[0] - 1.0) <= 1e-12:
                 raise ValidationError("productivity must start at 1")
             for prev, cur in zip(series, series[1:]):
-                if cur <= prev or cur <= 0.0:
-                    raise ValidationError(
-                        "productivity must be positive and strictly increasing"
-                    )
+                if not prev < cur < math.inf:
+                    raise ValidationError("productivity must be finite, "
+                                          "positive and strictly increasing")
 
     @property
     def years(self) -> tuple[int, ...]:
-        return tuple(range(self.start_year, self.end_year + 1))
+        return tuple(range(self.start_year,
+                           self.start_year + len(self.values_a)))
 
 
 @dataclass(frozen=True)
@@ -138,14 +141,7 @@ def build_schedule(
     if normalize:
         values_a = _normalize(values_a, T_END)
         values_b = _normalize(values_b, T_END)
-    return ProductivitySchedule(
-        start_year=start,
-        end_year=end,
-        values_a=tuple(values_a),
-        values_b=tuple(values_b),
-        rule=rule,
-        endpoint_normalized=normalize,
-    )
+    return ProductivitySchedule(start, tuple(values_a), tuple(values_b))
 
 
 def island_scenario(rule: str, normalize: bool = True) -> IslandScenario:
@@ -166,8 +162,8 @@ def generate_panel(scenario: IslandScenario) -> PricedPanel:
     ):
         try:
             _, _, (p_a, p_b), _, (out_a, out_b) = _solve_year(spec, t_a, t_b)
-        except InfeasibleAllocationError as exc:
-            raise InfeasibleAllocationError(f"year {year}: {exc}") from exc
+        except (InfeasibleAllocationError, DegenerateSectorError) as exc:
+            raise type(exc)(f"year {year}: {exc}") from exc
         periods.append(((out_a, p_a), (out_b, p_b)))
     return PricedPanel(
         sector_names=tuple(s.name for s in spec.sectors),
@@ -304,13 +300,6 @@ def calibrate_constant_growth(
             f"calibrated rate {rate!r} ends sector A at {values_a[-1]!r}, "
             f"missing the target {target_t_end!r} by more than 1e-9 relative"
         )
-    schedule = ProductivitySchedule(
-        start_year=START_YEAR,
-        end_year=START_YEAR + years,
-        values_a=tuple(values_a),
-        values_b=tuple(values_b),
-        rule="constant-calibrated",
-        endpoint_normalized=False,
-    )
-    return schedule, rate
+    return ProductivitySchedule(START_YEAR, tuple(values_a),
+                               tuple(values_b)), rate
 

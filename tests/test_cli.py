@@ -310,7 +310,7 @@ class TestExitCodes:
         assert out == ""
         assert err == f"data error: average overflows at {year}\n"
         # `growth` prints only the rates, which are all finite.
-        code, out, err = run(capsys, "growth", *flags, "--panel", str(panel))
+        code, out, err = run(capsys, "growth", "--panel", str(panel))
         assert (code, err) == (0, "")
         assert out == "".join(f"{1901 + i},{rate}\n"
                               for i, rate in enumerate(rates))

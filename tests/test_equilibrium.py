@@ -228,8 +228,7 @@ class TestSolveEquilibrium:
         # NaN; the kernel refuses it instead of handing on a NaN price.
         with pytest.raises(DegenerateSectorError, match="overflows"):
             _solve_year(spec, 1e308, 1.0)
-        schedule = ProductivitySchedule(1900, 1901, (1.0, 1e308), (1.0, 2.0),
-                                        "hand-built", False)
+        schedule = ProductivitySchedule(1900, (1.0, 1e308), (1.0, 2.0))
         with pytest.raises(DegenerateSectorError, match="overflows"):
             generate_panel(IslandScenario("hand-built", spec, schedule))
 

@@ -225,8 +225,7 @@ def constant_growth_panel(spec, growth_a, growth_b, years=98):
     for _ in range(years):
         values_a.append(values_a[-1] * (1.0 + growth_a))
         values_b.append(values_b[-1] * (1.0 + growth_b))
-    schedule = ProductivitySchedule(1900, 1900 + years, tuple(values_a),
-                                    tuple(values_b), "hand-built", False)
+    schedule = ProductivitySchedule(1900, tuple(values_a), tuple(values_b))
     return generate_panel(IslandScenario("hand-built", spec, schedule))
 
 

@@ -10,6 +10,7 @@ from gdppath import (
     PanelFormatError,
     PricedPanel,
     ValidationError,
+    build_schedule,
     generate_panel,
     island_scenario,
     read_panel,
@@ -17,6 +18,7 @@ from gdppath import (
     write_panel,
 )
 from gdppath.panel_io import GENERAL, PANEL_MODES, PAPER_COMPAT, write_columns
+from gdppath.scenarios import T_END
 
 
 @st.composite
@@ -170,8 +172,8 @@ class TestScenarioConfig:
         assert scenario.spec.sectors[0].elasticity == pytest.approx(2 / 3)
         assert scenario.spec.sectors[0].depreciation == 0.055
         assert scenario.schedule.start_year == 1900
-        assert scenario.schedule.end_year == 1998
-        assert scenario.schedule.endpoint_normalized
+        assert scenario.schedule.years[-1] == 1998
+        assert scenario.schedule.values_a[-1] == pytest.approx(T_END, rel=1e-12)
 
     def test_rule_override(self):
         scenario = read_scenario_config("rule = north\n")
@@ -195,7 +197,21 @@ class TestScenarioConfig:
 
     def test_normalize_flag(self):
         scenario = read_scenario_config("normalize = false\n")
-        assert not scenario.schedule.endpoint_normalized
+        assert scenario.schedule == build_schedule("middle", normalize=False)
+
+    @pytest.mark.parametrize("token, normalize", [
+        ("yes", True), ("ON", True), ("1", True), ("true", True),
+        ("off", False), ("No", False), ("0", False), ("maybe", None),
+    ])
+    def test_normalize_spellings(self, token, normalize):
+        text = f"normalize = {token}\n"
+        if normalize is None:
+            with pytest.raises(PanelFormatError,
+                               match="key normalize: unparsable value 'maybe'"):
+                read_scenario_config(text)
+        else:
+            assert read_scenario_config(text).schedule == build_schedule(
+                "middle", normalize=normalize)
 
 
 class TestWriteColumns:

@@ -5,6 +5,7 @@ import pytest
 
 from gdppath import (
     CalibrationError,
+    DegenerateSectorError,
     EconomySpec,
     IndexMethod,
     InfeasibleAllocationError,
@@ -87,16 +88,23 @@ class TestBuildSchedule:
 
 class TestScheduleValidation:
     @pytest.mark.parametrize("end, values_a, message", [
-        (1900, (1.0,), "end_year must exceed start_year"),
-        (1901, (1.0, 1.1, 1.2), "schedule needs 2 yearly values per sector"),
+        (1900, (1.0,), "at least 2 yearly values"),
+        (1901, (1.0, 1.1, 1.2), "as many per sector"),
         (1901, (1.5, 1.6), "productivity must start at 1"),
         (1901, (1.0, 1.0), "positive and strictly increasing"),
+        (1901, (math.nan, 1.6), "productivity must start at 1"),
+        (1902, (1.0, math.nan, 2.0), "positive and strictly increasing"),
+        (1902, (1.0, 2.0, math.inf), "positive and strictly increasing"),
     ])
     def test_rejects(self, end, values_a, message):
+        # Sector B's values run from 1900 through ``end``.
         values_b = tuple(1.0 + 0.1 * i for i in range(end - 1900 + 1))
         with pytest.raises(ValidationError, match=message):
-            ProductivitySchedule(1900, end, values_a, values_b, "hand-built",
-                                 False)
+            ProductivitySchedule(1900, values_a, values_b)
+
+    def test_years_follow_from_the_values(self):
+        schedule = ProductivitySchedule(1950, (1.0, 1.5, 2.0), (1.0, 1.1, 1.2))
+        assert schedule.years == (1950, 1951, 1952)
 
 
 def oracle_raw_multipliers(rule, n_steps):
@@ -132,14 +140,7 @@ def oracle_build_schedule(rule, start, end, normalize):
     if normalize:
         values_a = _normalize(values_a, T_END)
         values_b = _normalize(values_b, T_END)
-    return ProductivitySchedule(
-        start_year=start,
-        end_year=end,
-        values_a=tuple(values_a),
-        values_b=tuple(values_b),
-        rule=rule,
-        endpoint_normalized=normalize,
-    )
+    return ProductivitySchedule(start, tuple(values_a), tuple(values_b))
 
 
 def outcome(fn, *args):
@@ -239,6 +240,13 @@ class TestGeneratePanel:
         )
         scenario = IslandScenario("middle", spec, build_schedule("middle"))
         with pytest.raises(InfeasibleAllocationError, match="1900"):
+            generate_panel(scenario)
+
+    def test_degenerate_year_reported(self):
+        # T_A = 1e308 overflows the capital stock in the second year.
+        schedule = ProductivitySchedule(1900, (1.0, 1e308), (1.0, 2.0))
+        scenario = IslandScenario("hand-built", default_spec(), schedule)
+        with pytest.raises(DegenerateSectorError, match=r"^year 1901: "):
             generate_panel(scenario)
 
 
