@@ -42,7 +42,7 @@ from .indexes import (
     path_integral_gdp,
     real_growth,
 )
-from .panel_io import read_panel, read_scenario_config, write_panel
+from .panel_io import read_panel, write_panel
 from .scenarios import (
     IslandScenario,
     ProductivitySchedule,
@@ -51,6 +51,7 @@ from .scenarios import (
     default_spec,
     generate_panel,
     island_scenario,
+    read_scenario_config,
 )
 
 __version__ = "0.1.0"

@@ -38,7 +38,6 @@ from .panel_io import (
     PANEL_MODES,
     PAPER_COMPAT,
     read_panel,
-    read_scenario_config,
     write_columns,
     write_panel,
 )
@@ -50,6 +49,7 @@ from .scenarios import (
     default_spec,
     generate_panel,
     island_scenario,
+    read_scenario_config,
 )
 
 EXIT_OK = 0

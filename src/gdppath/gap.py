@@ -142,18 +142,21 @@ def model_catchup(
 ) -> CatchupResult:
     """First year the small economy's valuation reaches the big one's.
 
-    Under "common-prices" both economies are valued at the big economy's
-    first-period prices; under "own-nominal" each is valued at its own
-    prices.  The naive closed-form estimate from year-0 sizes and
-    first-step Laspeyres real growth is reported alongside for contrast.
-    On simulated panels "own-nominal" compares labor forces: under the wage
-    numeraire own-price GDP is sum L_a/lam_a every year.
+    Under "common-prices" both economies, which must have the same sectors,
+    are valued at the big economy's first-period prices; under "own-nominal"
+    each is valued at its own prices.  The naive closed-form estimate from
+    year-0 sizes and first-step Laspeyres real growth is reported alongside
+    for contrast.  On simulated panels "own-nominal" compares labor forces:
+    under the wage numeraire own-price GDP is sum L_a/lam_a every year.
     """
     if reference_rule not in REFERENCE_RULES:
         raise ValidationError(f"unknown reference rule {reference_rule!r}")
     if small.period_labels != big.period_labels:
         raise ValidationError("economies must share the same horizon")
     if reference_rule == "common-prices":
+        if small.sector_names != big.sector_names:
+            raise ValidationError("common prices need the same sectors in "
+                                  "both economies")
         ref = big.prices(0)
         v_small = common_price_valuations(small, ref)
         v_big = common_price_valuations(big, ref)

@@ -1,4 +1,4 @@
-"""CSV serialization for priced panels and the key=value scenario config.
+"""CSV serialization for priced panels.
 
 Two panel layouts:
 
@@ -16,34 +16,13 @@ from __future__ import annotations
 
 import math
 
-from .equilibrium import EconomySpec, SectorParams
 from .errors import PanelFormatError, ValidationError
 from .indexes import PricedPanel, _entry_problem
-from .scenarios import (
-    END_YEAR,
-    START_YEAR,
-    IslandScenario,
-    build_schedule,
-    default_spec,
-)
+from .scenarios import START_YEAR
 
 PAPER_COMPAT = "paper-compat"
 GENERAL = "general"
 PANEL_MODES = (PAPER_COMPAT, GENERAL)
-
-_CONFIG_KEYS = (
-    "rule",
-    "start_year",
-    "end_year",
-    "normalize",
-    "lambda_A",
-    "lambda_B",
-    "delta",
-    "R_c",
-    "L_t",
-    "N0",
-    "omega",
-)
 
 
 def write_panel(panel: PricedPanel, mode: str = PAPER_COMPAT) -> str:
@@ -156,63 +135,3 @@ def read_panel(
     if not general:
         labels = range(start_year, start_year + len(periods))
     return PricedPanel(tuple(names), tuple(periods), tuple(labels))
-
-
-def _parse_bool(token: str) -> bool:
-    token = token.lower()
-    if token in ("true", "yes", "1", "on"):
-        return True
-    if token in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(token)
-
-
-def read_scenario_config(text: str) -> IslandScenario:
-    """Parse a flat key=value config into a scenario, with the baseline
-    economy's parameters as defaults and the middle island as default rule."""
-    values: dict[str, str] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise PanelFormatError(
-                f"line {line_no}: expected 'key = value', got {stripped!r}"
-            )
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise PanelFormatError(f"line {line_no}: unknown key {key!r}")
-        values[key] = raw.strip()
-
-    def get(key: str, default, parse):
-        if key not in values:
-            return default
-        try:
-            return parse(values[key])
-        except ValueError:
-            raise PanelFormatError(
-                f"key {key}: unparsable value {values[key]!r}"
-            ) from None
-
-    rule = values.get("rule", "middle")
-    base = default_spec()
-    sectors = tuple(
-        SectorParams(s.name, get(f"lambda_{s.name}", s.elasticity, float),
-                     get("delta", s.depreciation, float))
-        for s in base.sectors
-    )
-    spec = EconomySpec(
-        sectors,
-        total_labor=get("L_t", base.total_labor, float),
-        rate_of_return=get("R_c", base.rate_of_return, float),
-        subsistence=get("N0", base.subsistence, float),
-        omega=get("omega", base.omega, float),
-    )
-    schedule = build_schedule(
-        rule,
-        start=get("start_year", START_YEAR, int),
-        end=get("end_year", END_YEAR, int),
-        normalize=get("normalize", True, _parse_bool),
-    )
-    return IslandScenario(name=rule, spec=spec, schedule=schedule)

@@ -11,6 +11,7 @@ endpoint.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from .errors import (
     CalibrationError,
     DegenerateSectorError,
     InfeasibleAllocationError,
+    PanelFormatError,
     ValidationError,
 )
 from .indexes import PricedPanel
@@ -150,6 +152,71 @@ def island_scenario(rule: str, normalize: bool = True) -> IslandScenario:
         spec=default_spec(),
         schedule=build_schedule(rule, normalize=normalize),
     )
+
+
+def _parse_bool(token: str) -> bool:
+    token = token.lower()
+    if token in ("true", "yes", "1", "on"):
+        return True
+    if token in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(token)
+
+
+def read_scenario_config(text: str) -> IslandScenario:
+    """Parse a flat key=value config into a scenario, with the baseline
+    economy's parameters as defaults and the middle island as default rule.
+    Each value is parsed only when the scenario takes it, so the checks of
+    each sector and of the economy run before any later value is parsed."""
+    base = default_spec()
+    sector_a, sector_b = base.sectors
+    # Each key with its parser and default, in the order they are taken.
+    table = {
+        "lambda_A": (float, sector_a.elasticity),
+        "delta": (float, sector_a.depreciation),
+        "lambda_B": (float, sector_b.elasticity),
+        "L_t": (float, base.total_labor),
+        "R_c": (float, base.rate_of_return),
+        "N0": (float, base.subsistence),
+        "omega": (float, base.omega),
+        "rule": (str, "middle"),
+        "start_year": (int, START_YEAR),
+        "end_year": (int, END_YEAR),
+        "normalize": (_parse_bool, True),
+    }
+    given: dict[str, str] = {}
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise PanelFormatError(
+                f"line {line_no}: expected 'key = value', got {stripped!r}"
+            )
+        key, _, raw = map(str.strip, stripped.partition("="))
+        if key not in table:
+            raise PanelFormatError(f"line {line_no}: unknown key {key!r}")
+        given[key] = raw
+
+    def parse(key: str):
+        parser, default = table[key]
+        if key not in given:
+            return default
+        try:
+            return parser(given[key])
+        except ValueError:
+            raise PanelFormatError(
+                f"key {key}: unparsable value {given[key]!r}"
+            ) from None
+
+    values = map(parse, table)
+    lam_a, delta = next(values), next(values)
+    sectors = (SectorParams(sector_a.name, lam_a, delta),
+               SectorParams(sector_b.name, next(values), delta))
+    spec = EconomySpec(sectors, *itertools.islice(values, 4))
+    rule, start, end, normalize = values
+    return IslandScenario(rule, spec,
+                          build_schedule(rule, start, end, normalize))
 
 
 def generate_panel(scenario: IslandScenario) -> PricedPanel:

@@ -1,5 +1,8 @@
 import operator
+import runpy
+import sys
 import tracemalloc
+import warnings
 from itertools import accumulate
 from pathlib import Path
 
@@ -389,3 +392,16 @@ class TestExitCodes:
         code, _, _ = run(capsys, "growth", "--panel", str(panel),
                          "--method", "bogus")
         assert code == 1
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_main(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["gdppath", "catchup", "--naive",
+                                          "11", "18", "0.06", "0.03"])
+        with warnings.catch_warnings():
+            # runpy warns that gdppath.cli is already imported.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SystemExit) as info:
+                runpy.run_module("gdppath.cli", run_name="__main__")
+        assert info.value.code == 0
+        assert capsys.readouterr().out == "17.1534\n"

@@ -213,6 +213,16 @@ class TestModelCatchup:
         with pytest.raises(ValidationError):
             model_catchup(china_panel, other)
 
+    def test_common_prices_need_the_same_sectors(self, china_panel):
+        renamed = PricedPanel(("X", "Y"), china_panel.periods,
+                              china_panel.period_labels)
+        with pytest.raises(ValidationError, match="same sectors"):
+            model_catchup(renamed, china_panel, reference_rule="common-prices")
+        # Each economy valued at its own prices in a shared currency: the
+        # sectors need not match.
+        result = model_catchup(renamed, china_panel, reference_rule="own-nominal")
+        assert result.crossing_year == 2015
+
     def test_unknown_rule(self, china_panel):
         with pytest.raises(ValidationError):
             model_catchup(china_panel, china_panel, reference_rule="martian")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -6,11 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gdppath import (
+    EconomySpec,
+    IslandScenario,
     ModelError,
     PanelFormatError,
     PricedPanel,
+    SectorParams,
     ValidationError,
     build_schedule,
+    default_spec,
     generate_panel,
     island_scenario,
     read_panel,
@@ -18,7 +23,7 @@ from gdppath import (
     write_panel,
 )
 from gdppath.panel_io import GENERAL, PANEL_MODES, PAPER_COMPAT, write_columns
-from gdppath.scenarios import T_END
+from gdppath.scenarios import END_YEAR, START_YEAR, T_END
 
 
 @st.composite
@@ -212,6 +217,13 @@ class TestScenarioConfig:
         else:
             assert read_scenario_config(text).schedule == build_schedule(
                 "middle", normalize=normalize)
+
+
+    def test_line_without_equals_names_line(self):
+        with pytest.raises(PanelFormatError) as info:
+            read_scenario_config("rule middle\n")
+        assert str(info.value) == (
+            "line 1: expected 'key = value', got 'rule middle'")
 
 
 class TestWriteColumns:
@@ -487,3 +499,160 @@ class TestSingleRowLoop:
             new = outcome(write_panel, panel, mode)
             old = outcome(oracle_write_panel, panel, mode)
             assert repr(new) == repr(old)
+
+
+# The scenario config reader as it was in the CSV module, with its key list
+# and its per-call defaults and parsers.  It is the oracle of the
+# differential test below.
+
+_ORACLE_CONFIG_KEYS = (
+    "rule",
+    "start_year",
+    "end_year",
+    "normalize",
+    "lambda_A",
+    "lambda_B",
+    "delta",
+    "R_c",
+    "L_t",
+    "N0",
+    "omega",
+)
+
+
+def _oracle_parse_bool(token):
+    token = token.lower()
+    if token in ("true", "yes", "1", "on"):
+        return True
+    if token in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(token)
+
+
+def oracle_read_scenario_config(text):
+    values = {}
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise PanelFormatError(
+                f"line {line_no}: expected 'key = value', got {stripped!r}"
+            )
+        key, _, raw = stripped.partition("=")
+        key = key.strip()
+        if key not in _ORACLE_CONFIG_KEYS:
+            raise PanelFormatError(f"line {line_no}: unknown key {key!r}")
+        values[key] = raw.strip()
+
+    def get(key, default, parse):
+        if key not in values:
+            return default
+        try:
+            return parse(values[key])
+        except ValueError:
+            raise PanelFormatError(
+                f"key {key}: unparsable value {values[key]!r}"
+            ) from None
+
+    rule = values.get("rule", "middle")
+    base = default_spec()
+    sectors = tuple(
+        SectorParams(s.name, get(f"lambda_{s.name}", s.elasticity, float),
+                     get("delta", s.depreciation, float))
+        for s in base.sectors
+    )
+    spec = EconomySpec(
+        sectors,
+        total_labor=get("L_t", base.total_labor, float),
+        rate_of_return=get("R_c", base.rate_of_return, float),
+        subsistence=get("N0", base.subsistence, float),
+        omega=get("omega", base.omega, float),
+    )
+    schedule = build_schedule(
+        rule,
+        start=get("start_year", START_YEAR, int),
+        end=get("end_year", END_YEAR, int),
+        normalize=get("normalize", True, _oracle_parse_bool),
+    )
+    return IslandScenario(name=rule, spec=spec, schedule=schedule)
+
+
+# Per key, in the order the scenario takes them: values that parse and
+# pass, and values that are at fault, some refused by a check and some
+# unparsable.
+_UNPARSABLE = ["abc", "", "1,5", "0x10"]
+_INT_UNPARSABLE = ["1900.0", "1e3", "19 00", *_UNPARSABLE]
+CONFIG_VALUES = {
+    "lambda_A": (["0.5", "2e-1", "0.9"],
+                 ["0", "1", "1.5", "-0.2", "nan", "inf", *_UNPARSABLE]),
+    "delta": (["0", "0.1"], ["-0.01", "nan", "inf", *_UNPARSABLE]),
+    "lambda_B": (["0.3", "0.75"], ["1", "-1", "nan", *_UNPARSABLE]),
+    "L_t": (["1000", "1e5", " 2.5 "], ["0", "-5", "nan", "inf", *_UNPARSABLE]),
+    "R_c": (["0.02", "0.3"], ["nan", "-inf", "-0.1", "1e308", *_UNPARSABLE]),
+    "N0": (["0", "1.6711", "2"], ["-1", "nan", "inf", *_UNPARSABLE]),
+    "omega": (["0", "5", "1.5"], ["-1", "nan", "inf", *_UNPARSABLE]),
+    "rule": (["north", "middle", "south"], ["east", "", "North"]),
+    "start_year": (["1900", "1950", " 1990"],
+                   ["2000", "-5", "1998", *_INT_UNPARSABLE]),
+    "end_year": (["1998", "1960", "2000"],
+                 ["1900", "3000", "1899", *_INT_UNPARSABLE]),
+    "normalize": (["yes", "OFF", "1", "false"], ["maybe", "2", *_UNPARSABLE]),
+}
+NOISE_LINES = ["", "   ", "# comment", "  # lambda_A = x", "#"]
+BAD_LINES = ["rule middle", "omega", "L_t 5", "=", " = 1", "flux = 1",
+             "lambda = 0.5", "Rule = north", "l_t = 5"]
+
+
+@st.composite
+def config_texts(draw):
+    """A scenario config: each key absent, good or at fault, in any order,
+    among comments and blank lines, now and then with a repeated key, a line
+    without '=' or an unknown key.  The keys taken before a drawn one are
+    never at fault and half of those after it are, so that faults cluster
+    and the test sees which of several is reported."""
+    clean = draw(st.integers(0, len(CONFIG_VALUES)))
+    lines = []
+    for i, (key, (good, bad)) in enumerate(CONFIG_VALUES.items()):
+        kind = draw(st.integers(0, 3))  # absent, good, at fault, at fault
+        if kind:
+            pool = bad if kind > 1 and i >= clean else good
+            lines.append((key, draw(st.sampled_from(pool))))
+    for _ in range(draw(st.integers(0, 1))):
+        key = draw(st.sampled_from(list(CONFIG_VALUES)))
+        lines.append((key, draw(st.sampled_from(sum(CONFIG_VALUES[key], [])))))
+    lines = [f"{key}{draw(st.sampled_from(['=', ' = ', '= ', ' =']))}{value}"
+             for key, value in draw(st.permutations(lines))]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(NOISE_LINES)))
+    if draw(st.integers(0, 9)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(BAD_LINES)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestScenarioConfigMove:
+    """The config reader beside the scenarios reads every config as the
+    reader in the CSV module did, and fails on the same fault."""
+
+    @given(config_texts())
+    def test_reader_matches_oracle(self, text):
+        new = outcome(read_scenario_config, text)
+        old = outcome(oracle_read_scenario_config, text)
+        assert type(new) is type(old)
+        if isinstance(old, IslandScenario):
+            assert new == old
+        else:
+            assert str(new) == str(old)
+
+    def test_every_pair_of_faults_reports_as_before(self):
+        # Two values at fault, each refused or unparsable, in either order:
+        # the reader names the same one as the old reader did.
+        faults = [(key, value) for key, (_, bad) in CONFIG_VALUES.items()
+                  for value in (bad[0], bad[-1])]
+        for (k1, v1), (k2, v2) in itertools.permutations(faults, 2):
+            text = f"{k1} = {v1}\n{k2} = {v2}\n"
+            new = outcome(read_scenario_config, text)
+            old = outcome(oracle_read_scenario_config, text)
+            assert (type(new), str(new)) == (type(old), str(old)), text
