@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
+from operator import mul
 
 from .errors import (
     DegenerateBaseError,
@@ -42,6 +44,12 @@ def _entry_problem(qty: float, price: float) -> str:
     return f"non-positive price {price}"
 
 
+def _check_labels(labels) -> None:
+    for label_prev, label in zip(labels, labels[1:]):
+        if label <= label_prev:
+            raise ValidationError("period labels must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class PricedPanel:
     """Time-indexed series of per-sector (quantity, price) pairs.
@@ -62,11 +70,7 @@ class PricedPanel:
             raise ValidationError("panel needs at least one period")
         if len(self.period_labels) != len(self.periods):
             raise ValidationError("one label per period required")
-        for label_prev, label in zip(self.period_labels, self.period_labels[1:]):
-            if label <= label_prev:
-                raise ValidationError(
-                    "period labels must be strictly increasing"
-                )
+        _check_labels(self.period_labels)
         for i, period in enumerate(self.periods):
             if len(period) != n:
                 raise ValidationError(
@@ -78,6 +82,18 @@ class PricedPanel:
                     problem = _entry_problem(qty, price)
                     raise ValidationError(
                         f"period {i}, sector {name}: {problem}")
+
+    @classmethod
+    def _from_checked(cls, sector_names, periods, period_labels) -> PricedPanel:
+        """A panel whose producer has already checked its shape and every
+        entry, as ``__post_init__`` would; only the labels' order is checked
+        here."""
+        _check_labels(period_labels)
+        panel = object.__new__(cls)
+        object.__setattr__(panel, "sector_names", sector_names)
+        object.__setattr__(panel, "periods", periods)
+        object.__setattr__(panel, "period_labels", period_labels)
+        return panel
 
     @property
     def n_periods(self) -> int:
@@ -209,21 +225,7 @@ def _step_growth(entry, method: IndexMethod, step: int) -> float:
             raise MethodDomainError(
                 "Tornqvist requires strictly positive quantities"
             )
-        # Subnormal quantities can make a period's value or a quantity
-        # ratio round to zero although every quantity is positive.
-        if v00 <= 0.0 or v11 <= 0.0:
-            period = step if v00 <= 0.0 else step + 1
-            raise DegenerateBaseError(f"zero nominal GDP at period {period}")
-        log_index = 0.0
-        for (q0, p0), (q1, p1) in zip(period0, period1):
-            share = 0.5 * (p0 * q0 / v00 + p1 * q1 / v11)
-            ratio = q1 / q0
-            if ratio == 0.0:
-                raise MethodDomainError(
-                    f"Tornqvist quantity ratio underflows to 0 at period {step}"
-                )
-            log_index += share * math.log(ratio)
-        return _finite_growth(math.exp(log_index) - 1.0, step)
+        return _tornqvist_growth(entry, step)
     if method is IndexMethod.LASPEYRES:
         if v00 <= 0.0:
             raise DegenerateBaseError(f"zero base value at period {step}")
@@ -242,6 +244,27 @@ def _step_growth(entry, method: IndexMethod, step: int) -> float:
             root = math.sqrt(1.0 + g_l) * math.sqrt(1.0 + g_p)
         return _finite_growth(root - 1.0, step)
     raise ValidationError(f"unknown index method {method!r}")
+
+
+def _tornqvist_growth(entry, step: int) -> float:
+    """Tornqvist growth over one entry of ``PricedPanel._steps`` whose
+    quantities are all positive."""
+    period0, period1, v00, _, _, v11 = entry
+    # Subnormal quantities can make a period's value or a quantity ratio
+    # round to zero although every quantity is positive.
+    if v00 <= 0.0 or v11 <= 0.0:
+        period = step if v00 <= 0.0 else step + 1
+        raise DegenerateBaseError(f"zero nominal GDP at period {period}")
+    log_index = 0.0
+    for (q0, p0), (q1, p1) in zip(period0, period1):
+        share = 0.5 * (p0 * q0 / v00 + p1 * q1 / v11)
+        ratio = q1 / q0
+        if ratio == 0.0:
+            raise MethodDomainError(
+                f"Tornqvist quantity ratio underflows to 0 at period {step}"
+            )
+        log_index += share * math.log(ratio)
+    return _finite_growth(math.exp(log_index) - 1.0, step)
 
 
 def real_growth(panel: PricedPanel, step: int, method: IndexMethod) -> float:
@@ -277,19 +300,18 @@ def _series(
     """Chain per-step ``rates`` into a series with a running average."""
     if panel.n_periods < 2:
         raise InsufficientDataError("growth needs at least two periods")
-    chained, averages = [], []
-    level, total = 1.0, 0.0
-    for j, rate in enumerate(rates):
-        level *= 1.0 + rate
-        chained.append(level)
-        if geometric_average:
-            averages.append(level ** (1.0 / (j + 1)) - 1.0)
-        else:
-            total += rate
-            averages.append(total / (j + 1))
+    chained = tuple(accumulate([1.0 + rate for rate in rates], mul))
+    if geometric_average:
+        averages = [level ** (1.0 / n) - 1.0
+                    for n, level in enumerate(chained, 1)]
+    else:
+        # Summed onto 0.0, so that a first rate of -0.0 averages to 0.0.
+        totals = accumulate(rates, initial=0.0)
+        next(totals)
+        averages = [total / n for n, total in enumerate(totals, 1)]
     return GrowthSeries(
         rates=tuple(rates),
-        chained_level=tuple(chained),
+        chained_level=chained,
         running_average=tuple(averages),
         step_labels=tuple(panel.period_labels[1:]),
     )
@@ -302,10 +324,58 @@ def growth_series(
 ) -> GrowthSeries:
     """Per-step real growth under ``method`` over the whole panel, with
     chained level and running average (arithmetic unless
-    ``geometric_average``)."""
-    rates = [_step_growth(entry, method, step)
-             for step, entry in enumerate(panel._steps)]
+    ``geometric_average``).
+
+    The rates come from one loop per method over the step table.  Where
+    that loop cannot vouch for every step, the series is rebuilt step by
+    step with ``_step_growth``, which ``real_growth`` also uses, so the
+    first failing step raises its own error."""
+    rates = _table_rates(panel, method)
+    if rates is None:
+        rates = [_step_growth(entry, method, step)
+                 for step, entry in enumerate(panel._steps)]
     return _series(panel, rates, geometric_average)
+
+
+def _table_rates(panel: PricedPanel, method: IndexMethod):
+    """Every step's rate under ``method``, or None when some base is not
+    positive, some rate is not finite, or the Tornqvist domain is not
+    known to hold for every step."""
+    steps = panel._steps
+    if method is IndexMethod.TORNQVIST:
+        periods = panel.periods
+        if any(q <= 0.0 for period in periods for q, _ in period):
+            return None
+        # A scaled step holds new periods, whose quantities may have
+        # rounded to zero: its domain is checked step by step.
+        if any(entry[0] is not period
+               for entry, period in zip(steps, periods)):
+            return None
+        return [_tornqvist_growth(entry, step)
+                for step, entry in enumerate(steps)]
+    if method is IndexMethod.LASPEYRES:
+        if not all(entry[2] > 0.0 for entry in steps):
+            return None
+        rates = [v01 / v00 - 1.0 for _, _, v00, v01, _, _ in steps]
+    elif method is IndexMethod.PAASCHE:
+        if not all(entry[4] > 0.0 for entry in steps):
+            return None
+        rates = [v11 / v10 - 1.0 for _, _, _, _, v10, v11 in steps]
+    elif method is IndexMethod.FISHER:
+        if not all(entry[2] > 0.0 and entry[4] > 0.0 for entry in steps):
+            return None
+        g_ls = [v01 / v00 - 1.0 for _, _, v00, v01, _, _ in steps]
+        g_ps = [v11 / v10 - 1.0 for _, _, _, _, v10, v11 in steps]
+        # A product that overflows makes the rate infinite here; the
+        # step-by-step path then takes the root of each factor.
+        rates = [math.sqrt((1.0 + g_l) * (1.0 + g_p)) - 1.0
+                 for g_l, g_p in zip(g_ls, g_ps)]
+    else:
+        return None
+    # An infinite or NaN rate makes the sum not finite.  So may finite
+    # rates whose sum overflows; the step-by-step path then gives them
+    # again.
+    return rates if sum(rates) < math.inf else None
 
 
 def circularity_residual(

@@ -113,19 +113,22 @@ def read_panel(
             raise PanelFormatError(
                 f"line {line_no}: expected {width} fields, got {len(fields)}"
             )
-        tokens = iter(fields)
         if general:
-            year = next(tokens)
+            year = fields[0]
             try:
                 labels.append(int(year))
             except ValueError:
                 raise PanelFormatError(
                     f"line {line_no}: bad year {year!r}"
                 ) from None
+        try:
+            values = iter(list(map(float, fields[general:])))
+        except ValueError:
+            # Parse pair by pair, so that a sector's faulty entry is named
+            # before an unparsable field further along the row.
+            values = (_parse_float(field, line_no) for field in fields[general:])
         period = []
-        for name, q_field, p_field in zip(names, tokens, tokens):
-            qty = _parse_float(q_field, line_no)
-            price = _parse_float(p_field, line_no)
+        for name, qty, price in zip(names, values, values):
             if not (0.0 <= qty < math.inf and 0.0 < price < math.inf):
                 problem = _entry_problem(qty, price)
                 raise PanelFormatError(
@@ -134,4 +137,6 @@ def read_panel(
         periods.append(tuple(period))
     if not general:
         labels = range(start_year, start_year + len(periods))
-    return PricedPanel(tuple(names), tuple(periods), tuple(labels))
+    # Every entry is checked above, where its line is known.
+    return PricedPanel._from_checked(tuple(names), tuple(periods),
+                                     tuple(labels))

@@ -343,6 +343,17 @@ def calibrate_constant_growth(
     if target_t_end <= 1.0:
         raise ValidationError("target productivity endpoint must exceed 1")
     economy = spec if spec is not None else default_spec()
+    # Both sectors end at the target; refuse it here rather than in the
+    # last year's solve, whose error would name no target.
+    for sector, (_, _, _, kappa) in zip(economy.sectors,
+                                         economy._sector_constants):
+        k_end = target_t_end * kappa
+        if not k_end < math.inf:
+            raise ValidationError(
+                f"target productivity endpoint {target_t_end!r}: sector "
+                f"{sector.name}'s capital per labor T*kappa = {k_end!r} is "
+                "not finite"
+            )
     mult_b = target_t_end ** (1.0 / years)
 
     @functools.lru_cache(maxsize=None)

@@ -908,3 +908,137 @@ class TestOverflowingStep:
                            match="^path integral overflows from period 0 "
                                  "to 1$"):
             path_integral_gdp(panel)
+
+
+# ``_series`` and ``growth_series`` as they were before the whole-series
+# loops: one ``_step_growth`` call per step, and the level and running sum
+# built in one loop.  ``_step_growth`` is the package's own: it is still the
+# per-step definition that ``real_growth`` and the fallback use.
+
+
+def step_oracle_series(panel, rates, geometric_average):
+    if panel.n_periods < 2:
+        raise InsufficientDataError("growth needs at least two periods")
+    chained, averages = [], []
+    level, total = 1.0, 0.0
+    for j, rate in enumerate(rates):
+        level *= 1.0 + rate
+        chained.append(level)
+        if geometric_average:
+            averages.append(level ** (1.0 / (j + 1)) - 1.0)
+        else:
+            total += rate
+            averages.append(total / (j + 1))
+    return GrowthSeries(
+        rates=tuple(rates),
+        chained_level=tuple(chained),
+        running_average=tuple(averages),
+        step_labels=tuple(panel.period_labels[1:]),
+    )
+
+
+def step_oracle_growth_series(panel, method=IndexMethod.LASPEYRES,
+                              geometric_average=False):
+    rates = [indexes._step_growth(entry, method, step)
+             for step, entry in enumerate(panel._steps)]
+    return step_oracle_series(panel, rates, geometric_average)
+
+
+# Rates of -1 (a level of 0), rates whose chained level overflows, -0.0,
+# and any other float, NaN and infinities included.
+series_rates = st.lists(
+    st.one_of(
+        st.just(-1.0),
+        st.just(-0.0),
+        st.floats(-1.0, 1.0),
+        st.floats(1e100, 1e300),
+        st.floats(),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+# Entries whose products overflow, so that some steps are held scaled, next
+# to tiny positive quantities that scaling can turn into zero.
+huge_quantities = st.one_of(st.floats(1e150, 1e300), st.just(5e-324),
+                            wide_quantities)
+huge_prices = st.one_of(st.floats(1e150, 1e300), wide_prices)
+
+
+@st.composite
+def overflowing_panels(draw):
+    n_sectors = draw(st.integers(1, 4))
+    n_periods = draw(st.integers(2, 6))
+    return panel_of([
+        tuple((draw(huge_quantities), draw(huge_prices))
+              for _ in range(n_sectors))
+        for _ in range(n_periods)
+    ])
+
+
+class TestTableLoops:
+    """A whole series is one loop per method over the step table, with the
+    per-step results and errors bit for bit."""
+
+    def assert_same_as_oracle(self, panel):
+        def check(*args):
+            # The oracle reads the same table, so a scaled step is scaled
+            # on both sides.
+            assert repr(outcome(growth_series, *args)) == repr(
+                outcome(step_oracle_growth_series, *args))
+
+        loop = out_and_back(panel)
+        for method in ALL_METHODS:
+            for geometric in (False, True):
+                check(panel, method, geometric)
+            check(loop, method)
+
+    @given(series_rates, st.booleans())
+    def test_series_matches_old_loop(self, rates, geometric_average):
+        panel = panel_of([((1.0, 1.0),)] * (len(rates) + 1))
+        assert repr(_series(panel, rates, geometric_average)) == repr(
+            step_oracle_series(panel, rates, geometric_average))
+
+    @given(wide_panels())
+    def test_matches_step_by_step(self, panel):
+        self.assert_same_as_oracle(panel)
+
+    @given(overflowing_panels())
+    def test_matches_step_by_step_with_scaled_steps(self, panel):
+        self.assert_same_as_oracle(panel)
+
+    @pytest.mark.parametrize("first, error, message", [
+        # The base rounds to zero.
+        (((5e-324, 0.1),), DegenerateBaseError,
+         "^zero nominal GDP at period 0$"),
+        # The base is positive, and the growth on it overflows.
+        (((5e-324, 1.0),), DegenerateBaseError,
+         "^growth from period 0 to 1 is not finite$"),
+    ], ids=["zero-base", "overflowing-growth"])
+    def test_earlier_degenerate_step_wins(self, first, error, message):
+        # Period 2's zero quantity is outside Tornqvist's domain, but step
+        # 0 fails first.
+        panel = panel_of([first, ((1.0, 1.0),), ((0.0, 1.0),)])
+        self.assert_same_as_oracle(panel)
+        with pytest.raises(error, match=message):
+            growth_series(panel, IndexMethod.TORNQVIST)
+
+    def test_one_scaled_step(self):
+        panel = panel_of(TestOverflowingStep.FALL
+                         + [((1.25, 2e10), (3.0, 0.25))])
+        assert panel._steps[0][0] is not panel.periods[0]
+        self.assert_same_as_oracle(panel)
+        for method in ALL_METHODS:
+            assert 1.0 + growth_series(panel, method).rates[0] == (
+                pytest.approx(0.85, rel=1e-15))
+
+    def test_scaled_step_rounds_a_quantity_to_zero(self):
+        # Every quantity is positive, but scaling the first step's sector B
+        # quantity by a power of two below 1 makes it zero.
+        panel = panel_of([((1e300, 1e10), (5e-324, 1.0)),
+                          ((1e300, 1e10), (1.0, 1.0))])
+        assert panel._steps[0][0][1][0] == 0.0
+        self.assert_same_as_oracle(panel)
+        with pytest.raises(MethodDomainError,
+                           match="^Tornqvist requires strictly positive"):
+            growth_series(panel, IndexMethod.TORNQVIST)

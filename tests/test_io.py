@@ -3,7 +3,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdppath import (
@@ -22,7 +22,14 @@ from gdppath import (
     read_scenario_config,
     write_panel,
 )
-from gdppath.panel_io import GENERAL, PANEL_MODES, PAPER_COMPAT, write_columns
+from gdppath.indexes import _entry_problem
+from gdppath.panel_io import (
+    GENERAL,
+    PANEL_MODES,
+    PAPER_COMPAT,
+    _parse_header,
+    write_columns,
+)
 from gdppath.scenarios import END_YEAR, START_YEAR, T_END
 
 
@@ -499,6 +506,128 @@ class TestSingleRowLoop:
             new = outcome(write_panel, panel, mode)
             old = outcome(oracle_write_panel, panel, mode)
             assert repr(new) == repr(old)
+
+
+
+# The reader as it was before each entry was checked once: it parsed and
+# checked the fields pair by pair, and then built the panel with every
+# check of ``PricedPanel``.  ``_parse_header`` and ``_entry_problem`` are
+# the package's own; the change did not touch them.
+
+
+def oracle_read_panel_checked_twice(text, mode=PAPER_COMPAT,
+                                    start_year=START_YEAR):
+    if mode not in PANEL_MODES:
+        raise ValidationError(f"unknown panel mode {mode!r}")
+    lines = enumerate(text.splitlines(), start=1)
+    rows = [(line_no, line) for line_no, line in lines if line.strip()]
+    if not rows:
+        raise PanelFormatError("empty panel stream")
+    general = mode == GENERAL
+    names = _parse_header(*rows.pop(0)) if general else ["A", "B"]
+    if not rows:
+        raise PanelFormatError("panel stream has a header but no rows")
+    width = 2 * len(names) + general  # a general row leads with its year
+    periods, labels = [], []
+    for line_no, line in rows:
+        fields = line.split(",")
+        if len(fields) != width:
+            raise PanelFormatError(
+                f"line {line_no}: expected {width} fields, got {len(fields)}"
+            )
+        tokens = iter(fields)
+        if general:
+            year = next(tokens)
+            try:
+                labels.append(int(year))
+            except ValueError:
+                raise PanelFormatError(
+                    f"line {line_no}: bad year {year!r}"
+                ) from None
+        period = []
+        for name, q_field, p_field in zip(names, tokens, tokens):
+            qty = _oracle_parse_float(q_field, line_no)
+            price = _oracle_parse_float(p_field, line_no)
+            if not (0.0 <= qty < math.inf and 0.0 < price < math.inf):
+                problem = _entry_problem(qty, price)
+                raise PanelFormatError(
+                    f"line {line_no}: sector {name}: {problem}")
+            period.append((qty, price))
+        periods.append(tuple(period))
+    if not general:
+        labels = range(start_year, start_year + len(periods))
+    return PricedPanel(tuple(names), tuple(periods), tuple(labels))
+
+
+# Tokens that parse to a valid entry, and tokens at fault: non-finite,
+# negative or zero once parsed, or unparsable.
+ENTRY_TOKENS = ("1", "2.5", "1e-3", "5e-324", "1e308", " 7 ", "1_0", "+3")
+FAULT_TOKENS = ("nan", " nan", "inf", "-inf", "1e400", "-1", "-1e-300", "0",
+                "-0", "0.0", "1e-400", "abc", "", "1..5", "0x10")
+
+
+@st.composite
+def fuzzed_panel_texts(draw):
+    """A panel's text in either layout, whose rows often hold two or more
+    faulty fields, and whose year labels may repeat or fall."""
+    mode = draw(st.sampled_from(PANEL_MODES))
+    general = mode == GENERAL
+    n_sectors = draw(st.integers(1, 3)) if general else 2
+    fault_rate = draw(st.sampled_from([0, 1, 2, 4]))
+    good = st.one_of(st.sampled_from(ENTRY_TOKENS),
+                     st.floats(1e-300, 1e300).map(repr))
+
+    def token():
+        if fault_rate and draw(st.integers(0, fault_rate)) == 0:
+            return draw(st.sampled_from(FAULT_TOKENS))
+        return draw(good)
+
+    lines = []
+    if general:
+        cols = ["year"] + [f"{c}_S{i}" for i in range(n_sectors) for c in "YP"]
+        if draw(st.integers(0, 19)) == 0:
+            cols[draw(st.integers(0, len(cols) - 1))] = "Q_x"
+        lines.append(",".join(cols))
+    year = draw(st.integers(1900, 2000))
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from(["", "  "])))
+        fields = [token() for _ in range(2 * n_sectors)]
+        if general:
+            year += draw(st.sampled_from([1, 1, 1, 2, 0, -1]))
+            fields.insert(0, draw(st.sampled_from([str(year)] * 19 + ["x"])))
+        if draw(st.integers(0, 19)) == 0:
+            del fields[-1]
+        lines.append(",".join(fields))
+    return mode, "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestEntriesCheckedOnce:
+    """The reader that checks each entry once reads every text as the
+    reader that checked the entries twice, and fails on the same fault
+    with the same message."""
+
+    @settings(max_examples=300)
+    @given(fuzzed_panel_texts(), st.sampled_from([1900, 2001]))
+    # Two faults in a row: an entry at fault before an unparsable field.
+    @example((PAPER_COMPAT, "1,1,1,1\n-1,1,abc,1\n"), 1900)
+    @example((GENERAL, "year,Y_a,P_a,Y_b,P_b\n1990,1,0,1e400,x\n"), 1900)
+    def test_reader_matches_oracle(self, case, start_year):
+        mode, text = case
+        new = outcome(read_panel, text, mode, start_year)
+        old = outcome(oracle_read_panel_checked_twice, text, mode, start_year)
+        assert type(new) is type(old)
+        if isinstance(old, PricedPanel):
+            assert new == old
+            assert repr(new) == repr(old)
+        else:
+            assert str(new) == str(old)
+
+    def test_falling_labels_refused(self):
+        text = "year,Y_a,P_a\n1991,1,1\n1990,1,1\n"
+        with pytest.raises(ValidationError,
+                           match="^period labels must be strictly increasing$"):
+            read_panel(text, GENERAL)
 
 
 # The scenario config reader as it was in the CSV module, with its key list

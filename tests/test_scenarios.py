@@ -414,6 +414,18 @@ class TestCalibrationBracket:
         with pytest.raises(CalibrationError, match="no constant rate up to"):
             calibrate_constant_growth(1e300, 1)
 
+    @pytest.mark.parametrize("target, years", [(1e308, 3), (1.7e308, 1)])
+    def test_endpoint_capital_overflow_refused(self, target, years):
+        # Refused before any path is solved, naming the target: the solve
+        # used to fail on "k must be finite, got inf" (1e308) or on a NaN
+        # productivity the caller never passed (1.7e308).
+        with pytest.raises(ValidationError) as info:
+            calibrate_constant_growth(target, years)
+        assert str(info.value) == (
+            f"target productivity endpoint {target!r}: sector A's capital "
+            "per labor T*kappa = inf is not finite"
+        )
+
     def test_sector_a_overflow(self):
         # A tiny sector-A value share needs huge multipliers at the upper
         # end of the bracket, and sector A's productivity overflows.
