@@ -148,7 +148,8 @@ def solve_capital_per_labor(
     """Capital per labor that equates the marginal product of capital with
     the gross return: (1-lam) T^lam k^(-lam) = gross_return.
 
-    Closed form k = T * ((1-lam)/gross_return)^(1/lam); returns 0 when T = 0.
+    Closed form k = T * ((1-lam)/gross_return)^(1/lam); returns 0 when T = 0
+    and refuses a k that overflows.
     """
     _require_finite(
         productivity=productivity,
@@ -163,7 +164,9 @@ def solve_capital_per_labor(
         raise ValidationError("gross_return must be > 0")
     if productivity == 0.0:
         return 0.0
-    return productivity * _capital_factor(elasticity, gross_return)
+    k = productivity * _capital_factor(elasticity, gross_return)
+    _require_finite(k=k)
+    return k
 
 
 def _labor_split(spec: EconomySpec, lam_a: float, y_a: float):
@@ -187,13 +190,16 @@ def _labor_split(spec: EconomySpec, lam_a: float, y_a: float):
 
 _DEGENERATE = "cannot price a sector with zero output per labor"
 _PRICE_OVERFLOW = "cannot price a sector: its price W/(lam*y) overflows"
+_OUTPUT_OVERFLOW = "a sector's output L*y overflows"
 
 
 def _solve_year(spec: EconomySpec, t_a: float, t_b: float):
     """One year's equilibrium at finite, non-negative productivities, from
     the spec's precomputed constants and with only the checks that depend
     on them.  Returns the fields of ``EquilibriumPoint`` after the names,
-    each a per-sector pair."""
+    each a per-sector pair.  Its outputs and prices are valid panel entries,
+    0 <= Y < inf and 0 < P < inf: a finite y gives P = W/net > 0, and an
+    overflowing k (NaN net) or y (inf or NaN L*y) is refused."""
     (lam_a, exp_a, gr_a, kappa_a), (lam_b, exp_b, gr_b, kappa_b) = (
         spec._sector_constants
     )
@@ -204,10 +210,8 @@ def _solve_year(spec: EconomySpec, t_a: float, t_b: float):
     # Zero profit with capital charged at the sector's own price:
     # P*y = W + P*k*gr, so P = W / (y - k*gr), i.e. W / (lam*y).
     net_a = y_a - k_a * gr_a
-    if net_a <= 0.0:
-        raise DegenerateSectorError(_DEGENERATE)
     net_b = y_b - k_b * gr_b
-    if net_b <= 0.0:
+    if net_a <= 0.0 or net_b <= 0.0:
         raise DegenerateSectorError(_DEGENERATE)
     p_a = WAGE_NUMERAIRE / net_a
     p_b = WAGE_NUMERAIRE / net_b
@@ -215,13 +219,12 @@ def _solve_year(spec: EconomySpec, t_a: float, t_b: float):
     if not p_a < math.inf or not p_b < math.inf:
         raise DegenerateSectorError(_PRICE_OVERFLOW)
     labor_a, labor_b = _labor_split(spec, lam_a, y_a)
-    return (
-        (k_a, k_b),
-        (y_a, y_b),
-        (p_a, p_b),
-        (labor_a, labor_b),
-        (labor_a * y_a, labor_b * y_b),
-    )
+    out_a, out_b = labor_a * y_a, labor_b * y_b
+    # Written so that a NaN output (0 * inf) counts too.
+    if not (out_a < math.inf and out_b < math.inf):
+        raise DegenerateSectorError(_OUTPUT_OVERFLOW)
+    return ((k_a, k_b), (y_a, y_b), (p_a, p_b), (labor_a, labor_b),
+            (out_a, out_b))
 
 
 def allocate_labor(spec: EconomySpec, productivity_a: float) -> tuple[float, float]:
@@ -230,7 +233,6 @@ def allocate_labor(spec: EconomySpec, productivity_a: float) -> tuple[float, flo
     subsistence is infeasible at this productivity."""
     lam_a, exp_a, gr_a, _ = spec._sector_constants[0]
     k_a = solve_capital_per_labor(productivity_a, lam_a, gr_a)
-    _require_finite(k=k_a)
     y_a = productivity_a**lam_a * k_a**exp_a
     if y_a <= 0.0:
         raise InfeasibleAllocationError(
@@ -253,10 +255,8 @@ def solve_equilibrium(
         if t < 0.0:
             raise ValidationError("productivity must be >= 0")
         _require_finite(k=t * kappa)
-    t_a, t_b = productivities
-    return EquilibriumPoint(
-        tuple(s.name for s in spec.sectors), *_solve_year(spec, t_a, t_b)
-    )
+    names = tuple(s.name for s in spec.sectors)
+    return EquilibriumPoint(names, *_solve_year(spec, *productivities))
 
 
 def utility(spec: EconomySpec, output_a: float, output_b: float) -> float:

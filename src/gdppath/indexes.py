@@ -86,8 +86,9 @@ class PricedPanel:
     @classmethod
     def _from_checked(cls, sector_names, periods, period_labels) -> PricedPanel:
         """A panel whose producer has already checked its shape and every
-        entry, as ``__post_init__`` would; only the labels' order is checked
-        here."""
+        entry, as ``__post_init__`` would: ``read_panel`` checks each entry
+        as it parses it, and ``generate_panel``'s kernel returns only valid
+        entries.  Only the labels' order is checked here."""
         _check_labels(period_labels)
         panel = object.__new__(cls)
         object.__setattr__(panel, "sector_names", sector_names)

@@ -23,8 +23,7 @@ from .equilibrium import (
 )
 from .errors import (
     CalibrationError,
-    DegenerateSectorError,
-    InfeasibleAllocationError,
+    ModelError,
     PanelFormatError,
     ValidationError,
 )
@@ -39,13 +38,14 @@ MAX_CALIBRATED_RATE = 10.0
 # accept; checked before any yearly list is built.
 MAX_HORIZON_YEARS = 1000
 
-# Each island's (m_A, m_B) step into year i >= 1: T[i] = T[i - 1] * m[i].
+# Each island's longest horizon and its (m_A, m_B) step into year i >= 1:
+# T[i] = T[i - 1] * m[i].  North's and south's steps fall to 1 at i = 100.
 _ISLAND_STEPS = {
-    "north": lambda i: (1.0 + 0.06 * (100 - i) / 99.0,
-                        1.0 + 0.06 * (i + 1) / 99.0),
-    "middle": lambda i: (1.0305, 1.0305),
-    "south": lambda i: (1.0 + 0.06 * (i + 1) / 99.0,
-                        1.0 + 0.06 * (100 - i) / 99.0),
+    "north": (99, lambda i: (1.0 + 0.06 * (100 - i) / 99.0,
+                             1.0 + 0.06 * (i + 1) / 99.0)),
+    "middle": (MAX_HORIZON_YEARS, lambda i: (1.0305, 1.0305)),
+    "south": (99, lambda i: (1.0 + 0.06 * (i + 1) / 99.0,
+                             1.0 + 0.06 * (100 - i) / 99.0)),
 }
 ISLAND_RULES = tuple(_ISLAND_STEPS)
 
@@ -101,11 +101,11 @@ class IslandScenario:
     schedule: ProductivitySchedule
 
 
-def _check_horizon(years: int) -> None:
-    if years > MAX_HORIZON_YEARS:
+def _check_horizon(years: int, limit: int = MAX_HORIZON_YEARS,
+                   what: str = "") -> None:
+    if years > limit:
         raise ValidationError(
-            f"horizon of {years} years exceeds the maximum of "
-            f"{MAX_HORIZON_YEARS}"
+            f"horizon of {years} years exceeds the maximum of {limit}{what}"
         )
 
 
@@ -134,7 +134,8 @@ def build_schedule(
     _check_horizon(end - start)
     if rule not in ISLAND_RULES:
         raise ValidationError(f"unknown schedule rule {rule!r}")
-    step = _ISLAND_STEPS[rule]
+    limit, step = _ISLAND_STEPS[rule]
+    _check_horizon(end - start, limit, f" for rule {rule!r}")
     values_a, values_b = [1.0], [1.0]
     for i in range(1, end - start + 1):
         m_a, m_b = step(i)
@@ -221,7 +222,7 @@ def read_scenario_config(text: str) -> IslandScenario:
 
 def generate_panel(scenario: IslandScenario) -> PricedPanel:
     """Simulate the scenario year by year into a priced panel of per-sector
-    (output, price) pairs."""
+    (output, price) pairs, unchecked: the kernel vouches for every pair."""
     spec, schedule = scenario.spec, scenario.schedule
     periods = []
     for year, t_a, t_b in zip(
@@ -229,14 +230,11 @@ def generate_panel(scenario: IslandScenario) -> PricedPanel:
     ):
         try:
             _, _, (p_a, p_b), _, (out_a, out_b) = _solve_year(spec, t_a, t_b)
-        except (InfeasibleAllocationError, DegenerateSectorError) as exc:
+        except ModelError as exc:
             raise type(exc)(f"year {year}: {exc}") from exc
         periods.append(((out_a, p_a), (out_b, p_b)))
-    return PricedPanel(
-        sector_names=tuple(s.name for s in spec.sectors),
-        periods=tuple(periods),
-        period_labels=schedule.years,
-    )
+    return PricedPanel._from_checked(tuple(s.name for s in spec.sectors),
+                                     tuple(periods), schedule.years)
 
 
 def _bisect(f, lo: float, hi: float, tol: float, max_iter: int = 200) -> float:
@@ -281,7 +279,6 @@ def _constant_growth_path(
     taken in cancellation-free form.
     """
     t_a, t_b = 1.0, 1.0
-    eq = solve_equilibrium(spec, (t_a, t_b))
     (lam_a, exp_a, _, kappa_a), (lam_b, exp_b, _, kappa_b) = (
         spec._sector_constants
     )
@@ -293,6 +290,7 @@ def _constant_growth_path(
     n0 = spec.subsistence
     values_a, values_b = [t_a], [t_b]
     for _ in range(years):
+        eq = solve_equilibrium(spec, (t_a, t_b))
         t_b *= mult_b
         p_a, p_b = eq.prices
         base_value = p_a * eq.outputs[0] + p_b * eq.outputs[1]
@@ -308,13 +306,13 @@ def _constant_growth_path(
         # bisection raise the rate (the endpoint will come out short).
         m_star = max(m_star, 1.0 + 1e-12)
         t_a *= m_star
-        if t_a == math.inf:
+        # Written so that a NaN multiplier (an overflowing quadratic) counts.
+        if not t_a < math.inf:
             raise CalibrationError(
                 f"sector A productivity overflows at rate {rate!r}"
             )
         values_a.append(t_a)
         values_b.append(t_b)
-        eq = solve_equilibrium(spec, (t_a, t_b))
     return values_a, values_b
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,12 +17,14 @@ from gdppath import (
     SectorParams,
     ValidationError,
     allocate_labor,
+    default_spec,
     generate_panel,
     solve_capital_per_labor,
     solve_equilibrium,
     utility,
 )
-from gdppath.equilibrium import WAGE_NUMERAIRE, _solve_year
+from gdppath.equilibrium import WAGE_NUMERAIRE, _labor_split, _solve_year
+from gdppath.indexes import PricedPanel
 
 from conftest import bisect_root, golden_section_max
 
@@ -50,6 +53,12 @@ class TestCapitalPerLabor:
         # ((1-lam)/gr)^(1/lam) = 9.08^1000 is beyond the float range.
         with pytest.raises(ValidationError, match="overflows"):
             solve_capital_per_labor(1.0, 0.001, GR)
+
+    def test_overflowing_capital_refused(self):
+        # T * ((1-lam)/gr)^(1/lam) = 1e308 * 2500 is beyond the float range.
+        with pytest.raises(ValidationError) as info:
+            solve_capital_per_labor(1e308, 0.5, 0.01)
+        assert str(info.value) == "k must be finite, got inf"
 
     def test_linear_in_productivity(self):
         k1 = solve_capital_per_labor(1.0, LAM, GR)
@@ -232,6 +241,13 @@ class TestSolveEquilibrium:
         with pytest.raises(DegenerateSectorError, match="overflows"):
             generate_panel(IslandScenario("hand-built", spec, schedule))
 
+    def test_overflowing_output_refused(self, spec):
+        # At T_A = 1e305 capital per labor and the price are finite, but
+        # sector A's output L_A * y_A is not.
+        with pytest.raises(DegenerateSectorError) as info:
+            solve_equilibrium(spec, (1e305, 1.0))
+        assert str(info.value) == "a sector's output L*y overflows"
+
 
 # solve_equilibrium as it was before the spec-compiled kernel, when each year
 # went through the validated public helpers: solve_capital_per_labor and
@@ -401,6 +417,162 @@ class TestKernelMatchesHelperChain:
         assert got[0] is InfeasibleAllocationError
         with pytest.raises(InfeasibleAllocationError):
             allocate_labor(spec, ts[0])
+
+
+# From 0 and the least subnormal up to near the float maximum, where
+# capital per labor, output per labor or output overflows.
+extreme_productivities = st.one_of(
+    st.floats(0.0, 1.7e308),
+    st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e300, 1e303, 1e305, 1e306,
+                     1e307, 1e308, 1.7e308]),
+)
+
+
+class TestKernelInvariant:
+    """Every year the kernel solves is a valid panel entry per sector, the
+    rule ``PricedPanel`` checks; ``generate_panel`` builds its panel on
+    this without a second check."""
+
+    @given(spec=two_sector_specs(), t_a=extreme_productivities,
+           t_b=extreme_productivities)
+    @example(spec=default_spec(), t_a=1e305, t_b=1.0)  # output overflows
+    @example(spec=default_spec(), t_a=1.0, t_b=1e305)
+    @settings(max_examples=500)
+    def test_results_are_valid_panel_entries(self, spec, t_a, t_b):
+        try:
+            _, _, prices, _, outputs = _solve_year(spec, t_a, t_b)
+        except ModelError:
+            return
+        for y, p in zip(outputs, prices):
+            assert 0.0 <= y < math.inf and 0.0 < p < math.inf
+
+
+# The kernel and generate_panel before the kernel refused an overflowing
+# output, copied verbatim but for their names and with the kernel's message
+# constants written out; the panel was then built with PricedPanel's checked
+# constructor, whose entry check refused such an output.
+def checked_solve_year(spec, t_a, t_b):
+    (lam_a, exp_a, gr_a, kappa_a), (lam_b, exp_b, gr_b, kappa_b) = (
+        spec._sector_constants
+    )
+    k_a = t_a * kappa_a
+    k_b = t_b * kappa_b
+    y_a = t_a**lam_a * k_a**exp_a
+    y_b = t_b**lam_b * k_b**exp_b
+    # Zero profit with capital charged at the sector's own price:
+    # P*y = W + P*k*gr, so P = W / (y - k*gr), i.e. W / (lam*y).
+    net_a = y_a - k_a * gr_a
+    if net_a <= 0.0:
+        raise DegenerateSectorError(
+            "cannot price a sector with zero output per labor")
+    net_b = y_b - k_b * gr_b
+    if net_b <= 0.0:
+        raise DegenerateSectorError(
+            "cannot price a sector with zero output per labor")
+    p_a = WAGE_NUMERAIRE / net_a
+    p_b = WAGE_NUMERAIRE / net_b
+    # Written so that a NaN price (inf - inf when k overflows) counts too.
+    if not p_a < math.inf or not p_b < math.inf:
+        raise DegenerateSectorError(
+            "cannot price a sector: its price W/(lam*y) overflows")
+    labor_a, labor_b = _labor_split(spec, lam_a, y_a)
+    return (
+        (k_a, k_b),
+        (y_a, y_b),
+        (p_a, p_b),
+        (labor_a, labor_b),
+        (labor_a * y_a, labor_b * y_b),
+    )
+
+
+def checked_generate_panel(scenario):
+    spec, schedule = scenario.spec, scenario.schedule
+    periods = []
+    for year, t_a, t_b in zip(
+        schedule.years, schedule.values_a, schedule.values_b
+    ):
+        try:
+            _, _, (p_a, p_b), _, (out_a, out_b) = checked_solve_year(
+                spec, t_a, t_b)
+        except (InfeasibleAllocationError, DegenerateSectorError) as exc:
+            raise type(exc)(f"year {year}: {exc}") from exc
+        periods.append(((out_a, p_a), (out_b, p_b)))
+    return PricedPanel(
+        sector_names=tuple(s.name for s in spec.sectors),
+        periods=tuple(periods),
+        period_labels=schedule.years,
+    )
+
+
+def panel_outcome(simulate, scenario):
+    """The panel's fields, or the class and message of the error raised."""
+    try:
+        panel = simulate(scenario)
+    except ModelError as exc:
+        return type(exc), str(exc)
+    # repr tells floats apart bit for bit, -0.0 from 0.0 included.
+    return repr((panel.sector_names, panel.periods, panel.period_labels))
+
+
+@st.composite
+def near_overflow_scenarios(draw):
+    """Short schedules of strictly increasing productivities from 1 up to
+    near the float maximum, on the baseline or a drawn economy."""
+    spec = draw(st.one_of(st.just(default_spec()), two_sector_specs()))
+    n = draw(st.integers(1, 4))
+    value = st.one_of(
+        st.floats(1.0, 1.7e308, exclude_min=True),
+        st.sampled_from([2.0, 1e300, 1e303, 1e304, 3e304, 1e305, 3e305,
+                         1e306, 1e307, 5e307, 1e308, 1.7e308]),
+    )
+
+    def path():
+        return (1.0, *sorted(draw(st.lists(value, min_size=n, max_size=n,
+                                           unique=True))))
+
+    schedule = ProductivitySchedule(draw(st.integers(1, 3000)), path(),
+                                    path())
+    return IslandScenario("hand-built", spec, schedule)
+
+
+class TestPanelNeedsNoSecondCheck:
+    """generate_panel, building its panel unchecked, gives the checked
+    version's panel bit for bit and its kernel errors.  Where that version
+    built a panel with an overflowing output (and refused it, or failed on
+    a later year), the kernel now refuses that year itself."""
+
+    @given(near_overflow_scenarios())
+    @example(IslandScenario("hand-built", default_spec(), ProductivitySchedule(
+        1900, (1.0, 1e305), (1.0, 2.0))))
+    @example(IslandScenario("hand-built", default_spec(), ProductivitySchedule(
+        1900, (1.0, 1e305, 1e308), (1.0, 2.0, 3.0))))
+    @settings(max_examples=300)
+    def test_same_panel_or_error(self, scenario):
+        new = panel_outcome(generate_panel, scenario)
+        old = panel_outcome(checked_generate_panel, scenario)
+        if new == old:
+            return
+        # The first year whose outputs overflow, as the checked kernel
+        # solved them; no year before it failed.
+        schedule = scenario.schedule
+        for year, t_a, t_b in zip(
+            schedule.years, schedule.values_a, schedule.values_b
+        ):
+            outputs = checked_solve_year(scenario.spec, t_a, t_b)[4]
+            if not all(y < math.inf for y in outputs):
+                break
+        else:
+            pytest.fail(f"outcomes differ without an overflow: {new} {old}")
+        assert new == (DegenerateSectorError,
+                       f"year {year}: a sector's output L*y overflows")
+        if old[0] is ValidationError:
+            period = year - schedule.start_year
+            assert re.match(rf"period {period}, sector \w+: non-finite "
+                            "quantity", old[1])
+        else:
+            assert old[0] in (DegenerateSectorError,
+                              InfeasibleAllocationError)
+            assert int(re.match(r"year (\d+): ", old[1])[1]) > year
 
 
 class TestUtility:

@@ -191,6 +191,15 @@ class TestScenarioConfig:
         scenario = read_scenario_config("rule = north\n")
         assert scenario.name == "north"
 
+    @pytest.mark.parametrize("rule", ["north", "south"])
+    def test_island_horizon_limit(self, rule):
+        with pytest.raises(ValidationError) as info:
+            read_scenario_config(f"rule = {rule}\nend_year = 2000\n")
+        assert str(info.value) == (
+            f"horizon of 100 years exceeds the maximum of 99 for rule {rule!r}"
+        )
+        read_scenario_config("rule = middle\nend_year = 2900\n")
+
     def test_out_of_range_elasticity(self):
         with pytest.raises(ValidationError):
             read_scenario_config("lambda_A = 1.5\n")

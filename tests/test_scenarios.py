@@ -161,15 +161,31 @@ class TestRuleTable:
     def test_matches_oracle(self, rule, normalize):
         for horizon in [*range(-2, 130), 500, 1000, 1001]:
             args = (rule, 1900, 1900 + horizon, normalize)
-            assert repr(outcome(build_schedule, *args)) == repr(
-                outcome(oracle_build_schedule, *args)
-            )
+            expected = outcome(oracle_build_schedule, *args)
+            if rule in ("north", "south") and 99 < horizon <= 1000:
+                # The oracle's step falls to 1 in year 100 and the schedule
+                # refuses it; the table refuses the horizon up front.
+                assert expected == (ValidationError, "productivity must be "
+                                    "finite, positive and strictly increasing")
+                expected = (ValidationError, f"horizon of {horizon} years "
+                            f"exceeds the maximum of 99 for rule {rule!r}")
+            assert repr(outcome(build_schedule, *args)) == repr(expected)
 
 
 class TestHorizonCap:
     def test_longest_horizon_builds(self):
         s = build_schedule("middle", start=1900, end=1900 + MAX_HORIZON_YEARS)
         assert len(s.values_a) == MAX_HORIZON_YEARS + 1
+
+    @pytest.mark.parametrize("rule", ["north", "south"])
+    def test_island_horizon_limit(self, rule):
+        # The step 1 + 0.06 * (100 - i) / 99 reaches 1 at i = 100.
+        assert build_schedule(rule, 1900, 1999).years[-1] == 1999
+        with pytest.raises(ValidationError) as info:
+            build_schedule(rule, 1900, 2000)
+        assert str(info.value) == (
+            f"horizon of 100 years exceeds the maximum of 99 for rule {rule!r}"
+        )
 
     @pytest.mark.parametrize("call", [
         lambda: build_schedule("middle", start=1900, end=1900 + 1001),
@@ -248,6 +264,15 @@ class TestGeneratePanel:
         scenario = IslandScenario("hand-built", default_spec(), schedule)
         with pytest.raises(DegenerateSectorError, match=r"^year 1901: "):
             generate_panel(scenario)
+
+    def test_overflowing_output_year_reported(self):
+        # T_A = 1e305 leaves capital per labor and the prices finite, but
+        # sector A's output overflows in the second year.
+        schedule = ProductivitySchedule(1900, (1.0, 1e305), (1.0, 2.0))
+        scenario = IslandScenario("hand-built", default_spec(), schedule)
+        with pytest.raises(DegenerateSectorError) as info:
+            generate_panel(scenario)
+        assert str(info.value) == "year 1901: a sector's output L*y overflows"
 
 
 class TestCalibration:
@@ -425,6 +450,24 @@ class TestCalibrationBracket:
             f"target productivity endpoint {target!r}: sector A's capital "
             "per labor T*kappa = inf is not finite"
         )
+
+    @pytest.mark.parametrize("target", [1e303, 1e306, 3e306, 1e307])
+    def test_overflowing_quadratic_refused(self, target):
+        # With T_B = target in the one year, the quadratic's coefficients
+        # overflow and its root, sector A's multiplier, is NaN.
+        with pytest.raises(CalibrationError) as info:
+            calibrate_constant_growth(target, 1)
+        assert str(info.value) == (
+            "sector A productivity overflows at rate 0.15")
+
+    @pytest.mark.parametrize("target", [1e305, 1e307])
+    def test_last_year_left_unsolved(self, target):
+        # The last year's outputs overflow, but no multiplier needs that
+        # year's equilibrium, so the bracket search ends as it would if
+        # they did not.
+        with pytest.raises(CalibrationError,
+                           match=r"^no constant rate up to 9\.6 reaches"):
+            calibrate_constant_growth(target, 2)
 
     def test_sector_a_overflow(self):
         # A tiny sector-A value share needs huge multipliers at the upper
