@@ -15,6 +15,7 @@ panel bit for bit.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from .errors import PanelFormatError, ValidationError
 from .indexes import PricedPanel, _entry_problem
@@ -31,27 +32,26 @@ def write_panel(panel: PricedPanel, mode: str = PAPER_COMPAT) -> str:
         raise ValidationError(f"unknown panel mode {mode!r}")
     if mode == PAPER_COMPAT and len(panel.sector_names) != 2:
         raise ValidationError(
-            "paper-compat layout requires exactly two sectors"
-        )
-    lines = [
-        ",".join([f"{v:.17g}" for pair in period for v in pair])
-        for period in panel.periods
-    ]
-    if mode == GENERAL:
-        columns = [f"{c}_{name}" for name in panel.sector_names for c in "YP"]
-        lines = [",".join(["year", *columns])] + [
-            f"{label},{line}"
-            for label, line in zip(panel.period_labels, lines)
-        ]
-    return "\n".join(lines) + "\n"
+            "paper-compat layout requires exactly two sectors")
+    if mode == PAPER_COMPAT:
+        return _rows(chain.from_iterable(panel.periods), 4, False)
+    cols = [f"{c}_{name}" for name in panel.sector_names for c in "YP"]
+    rows = zip(panel.period_labels, panel.periods)
+    cells = chain.from_iterable(((label,), *period) for label, period in rows)
+    return ",".join(["year", *cols]) + "\n" + _rows(cells, len(cols), True)
 
 
 def write_columns(labels: tuple[int, ...], *columns: tuple[float, ...]) -> str:
     """CSV rows of ``label,value,...``: one row per label, one column per
-    sequence of floats, each float to 17 significant digits."""
-    cells = [list(map(str, labels))]
-    cells += [[f"{v:.17g}" for v in column] for column in columns]
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
+    sequence of floats; no rows give a lone newline."""
+    return _rows(zip(labels, *columns), len(columns), True) or "\n"
+
+
+def _rows(cells, n_floats: int, labelled: bool) -> str:
+    """Rows of the flattened ``cells``: [label,] n_floats 17-digit floats."""
+    flat = tuple(chain.from_iterable(cells))
+    row = ",".join(["%s"] * labelled + ["%.17g"] * n_floats) + "\n"
+    return row * (len(flat) // (labelled + n_floats)) % flat
 
 
 def _parse_float(token: str, line_no: int) -> float:

@@ -299,7 +299,14 @@ def _constant_growth_path(
         a = p_a * scale * lam_a * u
         b = w_b * (p_a * n0 + p_b * y_b) - (1.0 + rate) * base_value
         c = -p_b * w_b * y_b * n0 / u
-        q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+        disc = b * b - 4.0 * a * c
+        # The root does not depend on the common factor ``scale``; divide it
+        # out only when a large labor force overflows the discriminant, so
+        # that every other path keeps its bits.
+        if not disc < math.inf:
+            a, b, c = a / scale, b / scale, c / scale
+            disc = b * b - 4.0 * a * c
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
         m_star = q / a if q > 0.0 else (c / q if q else 0.0)
         # When sector B's growth alone already beats the candidate rate, the
         # root sits below the unit multiplier; clamp there and let the outer

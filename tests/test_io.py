@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import re
 
 import pytest
@@ -247,6 +248,10 @@ class TestWriteColumns:
         text = write_columns((1901, 1902), (0.1, 1 / 3), (2.0, -0.5))
         assert text == ("1901,0.10000000000000001,2\n"
                         "1902,0.33333333333333331,-0.5\n")
+
+    def test_no_rows_is_a_newline(self):
+        assert write_columns(()) == "\n"
+        assert write_columns((), ()) == "\n"
 
 
 class TestEntryRule:
@@ -515,6 +520,90 @@ class TestSingleRowLoop:
             new = outcome(write_panel, panel, mode)
             old = outcome(oracle_write_panel, panel, mode)
             assert repr(new) == repr(old)
+
+
+# The writers against ``format(v, ".17g")`` over the whole float range, for
+# the writers that build each text by one ``%`` over its cells.
+
+FLOAT_MAX = 1.7976931348623157e308
+
+
+@st.composite
+def wide_panels(draw):
+    """1-8 sectors, quantities from 0.0 (and -0.0) and prices from the least
+    subnormal up to the largest float, and labels that may be negative or
+    wider than 64 bits."""
+    n_sectors = draw(st.integers(1, 8))
+    n_periods = draw(st.integers(1, 6))
+    qty = st.floats(0.0, FLOAT_MAX) | st.just(-0.0)
+    price = st.floats(5e-324, FLOAT_MAX)
+    start = draw(st.integers(-(10**30), 10**30))
+    steps = draw(st.lists(st.integers(1, 10**20), min_size=n_periods - 1,
+                          max_size=n_periods - 1))
+    periods = tuple(
+        tuple((draw(qty), draw(price)) for _ in range(n_sectors))
+        for _ in range(n_periods)
+    )
+    names = tuple(f"S{i}" for i in range(n_sectors))
+    labels = tuple(itertools.accumulate([start, *steps]))
+    return PricedPanel(names, periods, labels)
+
+
+def _spread_panel(n_sectors=8, n_periods=1000):
+    """A fixed panel whose entries fall in every binary exponent range,
+    subnormals and zero quantities included."""
+    rng = random.Random(16)
+
+    def entry():
+        qty = math.ldexp(rng.random(), rng.randint(-1074, 1024))
+        price = math.ldexp(rng.random(), rng.randint(-1074, 1024))
+        return qty, max(price, 5e-324)
+
+    periods = tuple(tuple(entry() for _ in range(n_sectors))
+                    for _ in range(n_periods))
+    names = tuple(f"S{i}" for i in range(n_sectors))
+    return PricedPanel(names, periods, tuple(range(-500, n_periods - 500)))
+
+
+def oracle_write_columns(labels, *columns):
+    lines = [",".join([str(label), *map(_oracle_fmt, row)])
+             for label, *row in zip(labels, *columns)]
+    return "\n".join(lines) + "\n"
+
+
+def assert_writer_matches_format_oracle(panel):
+    for mode in PANEL_MODES:
+        new = outcome(write_panel, panel, mode)
+        old = outcome(oracle_write_panel, panel, mode)
+        assert repr(new) == repr(old)
+    assert read_panel(write_panel(panel, GENERAL), GENERAL) == panel
+
+
+class TestWritersMatchFormatOracle:
+    @given(wide_panels())
+    def test_panel_writer(self, panel):
+        assert_writer_matches_format_oracle(panel)
+
+    # Outside hypothesis, whose per-example deadline a 1000-period panel
+    # can exceed under a line tracer.
+    @pytest.mark.parametrize("n_sectors", [8, 2])
+    def test_panel_writer_spread(self, n_sectors):
+        assert_writer_matches_format_oracle(_spread_panel(n_sectors))
+
+    @given(st.data())
+    def test_columns_writer(self, data):
+        n_rows = data.draw(st.integers(0, 6))
+        labels = tuple(data.draw(st.lists(
+            st.integers(-(10**30), 10**30), min_size=n_rows, max_size=n_rows)))
+        value = st.floats() | st.sampled_from(
+            [math.nan, -math.nan, math.inf, -math.inf, -0.0, 5e-324])
+        columns = [
+            tuple(data.draw(st.lists(value, min_size=n_rows,
+                                     max_size=n_rows)))
+            for _ in range(data.draw(st.integers(0, 3)))
+        ]
+        assert write_columns(labels, *columns) == oracle_write_columns(
+            labels, *columns)
 
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -481,6 +482,25 @@ class TestCalibrationBracket:
         )
         with pytest.raises(CalibrationError, match="overflows"):
             calibrate_constant_growth(18.93, 98, spec)
+
+    @pytest.mark.parametrize("labor", [1e150, 1e155, 1e160, 1e200, 1e250])
+    def test_large_labor_force_calibrates(self, labor):
+        # The quadratic's coefficients all scale with the labor force and
+        # its root does not, so the rate keeps every bit; from about 1e155
+        # the discriminant overflows unless that factor is divided out.
+        spec = dataclasses.replace(default_spec(), total_labor=labor)
+        _, rate = calibrate_constant_growth(18.93, 98, spec)
+        assert rate == 0.03046239871955931
+
+    @pytest.mark.parametrize("labor", [1e300, 1e303])
+    def test_huge_labor_force_output_overflows(self, labor):
+        # The path at the bracket's upper end, rate 0.15, overflows a
+        # sector's output L*y, although the default rate's schedule
+        # simulates at these labor forces.
+        spec = dataclasses.replace(default_spec(), total_labor=labor)
+        with pytest.raises(DegenerateSectorError) as info:
+            calibrate_constant_growth(18.93, 98, spec)
+        assert str(info.value) == "a sector's output L*y overflows"
 
 
 class TestNoSilentResults:
