@@ -2,11 +2,12 @@
 
 Production per labor in sector a is y_a = T_a^lam * k_a^(1-lam).  Capital per
 labor k_a is physical (units of good a) and adjusts until its marginal product
-equals the gross return R_c + delta_a.  Prices follow from the zero-profit
+equals the gross return R_c + delta_a, which gives k_a = T_a * kappa_a and so
+y_a = c_a * T_a with c_a = kappa_a^(1-lam).  Prices follow from the zero-profit
 identity P_a y_a = W + P_a k_a (R_c + delta_a): the capital charge is valued at
-the sector's own price, so P_a = W / (y_a - k_a (R_c + delta_a)) = W / (lam y_a)
-and labor earns its Cobb-Douglas share lam of revenue.  Labor splits between
-the subsistence-good sector and the service sector by maximizing
+the sector's own price, and k_a (R_c + delta_a) = (1-lam) y_a, so
+P_a = W / (lam y_a) and labor earns its Cobb-Douglas share lam of revenue.
+Labor splits between the subsistence-good and the service sector by maximizing
 u = (Y_A/L_t - N0) * (Y_B/L_t)^omega.  The wage is the numeraire (W = 1 each
 year); real-growth measures downstream are invariant to that choice.
 """
@@ -80,9 +81,9 @@ class EconomySpec:
     rate_of_return: float  # R_c, per year
     subsistence: float  # N0, good-A units per person per year
     omega: float  # utility exponent on the service good
-    # Per sector: (lam, 1 - lam, gr = R_c + delta,
-    # kappa = ((1-lam)/gr)^(1/lam)).
-    _sector_constants: tuple[tuple[float, float, float, float], ...] = field(
+    # Per sector: (lam, kappa = ((1-lam)/gr)^(1/lam) with gr = R_c + delta,
+    # c = kappa^(1-lam), the output per labor at T = 1).
+    _sector_constants: tuple[tuple[float, float, float], ...] = field(
         init=False, repr=False, compare=False
     )
     _omega_lam_b: float = field(init=False, repr=False, compare=False)
@@ -117,7 +118,8 @@ class EconomySpec:
                 kappa = _capital_factor(s.elasticity, gr)
             except ValidationError as exc:
                 raise ValidationError(f"sector {s.name}: {exc}") from None
-            constants.append((s.elasticity, 1.0 - s.elasticity, gr, kappa))
+            c = kappa ** (1.0 - s.elasticity)
+            constants.append((s.elasticity, kappa, c))
         omega_lam_b = self.omega * self.sectors[1].elasticity
         object.__setattr__(self, "_sector_constants", tuple(constants))
         object.__setattr__(self, "_omega_lam_b", omega_lam_b)
@@ -132,7 +134,8 @@ class EconomySpec:
 @dataclass(frozen=True)
 class EquilibriumPoint:
     """One year's solved equilibrium, per sector; the wage is the numeraire
-    ``WAGE_NUMERAIRE``."""
+    ``WAGE_NUMERAIRE``.  The yearly solve needs no capital stock; the point
+    keeps T*kappa to check the derivation's first-order condition against."""
 
     sector_names: tuple[str, ...]
     capital_per_labor: tuple[float, ...]
@@ -195,27 +198,21 @@ _OUTPUT_OVERFLOW = "a sector's output L*y overflows"
 
 def _solve_year(spec: EconomySpec, t_a: float, t_b: float):
     """One year's equilibrium at finite, non-negative productivities, from
-    the spec's precomputed constants and with only the checks that depend
-    on them.  Returns the fields of ``EquilibriumPoint`` after the names,
-    each a per-sector pair.  Its outputs and prices are valid panel entries,
-    0 <= Y < inf and 0 < P < inf: a finite y gives P = W/net > 0, and an
-    overflowing k (NaN net) or y (inf or NaN L*y) is refused."""
-    (lam_a, exp_a, gr_a, kappa_a), (lam_b, exp_b, gr_b, kappa_b) = (
-        spec._sector_constants
-    )
-    k_a = t_a * kappa_a
-    k_b = t_b * kappa_b
-    y_a = t_a**lam_a * k_a**exp_a
-    y_b = t_b**lam_b * k_b**exp_b
-    # Zero profit with capital charged at the sector's own price:
-    # P*y = W + P*k*gr, so P = W / (y - k*gr), i.e. W / (lam*y).
-    net_a = y_a - k_a * gr_a
-    net_b = y_b - k_b * gr_b
+    the spec's constants and with only the checks that depend on them: the
+    fields of ``EquilibriumPoint`` after the names and capital per labor, as
+    per-sector pairs.  They are valid panel entries, 0 <= Y < inf and
+    0 < P < inf: a positive lam*y gives P > 0, and an overflowing P or L*y
+    is refused."""
+    (lam_a, _, c_a), (lam_b, _, c_b) = spec._sector_constants
+    y_a = c_a * t_a
+    y_b = c_b * t_b
+    net_a = lam_a * y_a
+    net_b = lam_b * y_b
+    # Before the division: a subnormal y can make lam*y round to 0.
     if net_a <= 0.0 or net_b <= 0.0:
         raise DegenerateSectorError(_DEGENERATE)
     p_a = WAGE_NUMERAIRE / net_a
     p_b = WAGE_NUMERAIRE / net_b
-    # Written so that a NaN price (inf - inf when k overflows) counts too.
     if not p_a < math.inf or not p_b < math.inf:
         raise DegenerateSectorError(_PRICE_OVERFLOW)
     labor_a, labor_b = _labor_split(spec, lam_a, y_a)
@@ -223,17 +220,16 @@ def _solve_year(spec: EconomySpec, t_a: float, t_b: float):
     # Written so that a NaN output (0 * inf) counts too.
     if not (out_a < math.inf and out_b < math.inf):
         raise DegenerateSectorError(_OUTPUT_OVERFLOW)
-    return ((k_a, k_b), (y_a, y_b), (p_a, p_b), (labor_a, labor_b),
-            (out_a, out_b))
+    return (y_a, y_b), (p_a, p_b), (labor_a, labor_b), (out_a, out_b)
 
 
 def allocate_labor(spec: EconomySpec, productivity_a: float) -> tuple[float, float]:
     """The kernel's labor split at productivity T_A, with T_A and sector A's
     capital per labor checked.  Raises when sector A produces nothing or
     subsistence is infeasible at this productivity."""
-    lam_a, exp_a, gr_a, _ = spec._sector_constants[0]
-    k_a = solve_capital_per_labor(productivity_a, lam_a, gr_a)
-    y_a = productivity_a**lam_a * k_a**exp_a
+    sector_a, (lam_a, _, c_a) = spec.sectors[0], spec._sector_constants[0]
+    solve_capital_per_labor(productivity_a, lam_a, spec.gross_return(sector_a))
+    y_a = c_a * productivity_a
     if y_a <= 0.0:
         raise InfeasibleAllocationError(
             "sector A produces nothing; subsistence cannot be met"
@@ -250,13 +246,16 @@ def solve_equilibrium(
         raise ValidationError(
             f"expected 2 productivities, got {len(productivities)}"
         )
-    for t, (_, _, _, kappa) in zip(productivities, spec._sector_constants):
+    capital = []
+    for t, (_, kappa, _) in zip(productivities, spec._sector_constants):
         _require_finite(productivity=t)
         if t < 0.0:
             raise ValidationError("productivity must be >= 0")
-        _require_finite(k=t * kappa)
+        capital.append(t * kappa)
+        _require_finite(k=capital[-1])
     names = tuple(s.name for s in spec.sectors)
-    return EquilibriumPoint(names, *_solve_year(spec, *productivities))
+    return EquilibriumPoint(names, tuple(capital),
+                            *_solve_year(spec, *productivities))
 
 
 def utility(spec: EconomySpec, output_a: float, output_b: float) -> float:
@@ -269,4 +268,9 @@ def utility(spec: EconomySpec, output_a: float, output_b: float) -> float:
         raise ValidationError("outputs must be >= 0")
     per_a = output_a / spec.total_labor - spec.subsistence
     per_b = output_b / spec.total_labor
-    return per_a * per_b**spec.omega
+    try:
+        u = per_a * per_b**spec.omega
+    except OverflowError:
+        u = math.inf
+    _require_finite(utility=u)
+    return u

@@ -163,6 +163,14 @@ def model_catchup(
     else:
         v_small = tuple(nominal_gdp(small, i) for i in range(small.n_periods))
         v_big = tuple(nominal_gdp(big, i) for i in range(big.n_periods))
+    # A valuation adds non-negative finite products, so only inf is not
+    # finite; it would cross at inf >= inf with a NaN fraction.
+    for economy, values in (("small", v_small), ("big", v_big)):
+        if math.inf in values:
+            raise DegenerateBaseError(
+                f"{economy} economy's valuation at period "
+                f"{values.index(math.inf)} is not finite"
+            )
 
     naive_years: float | None
     try:

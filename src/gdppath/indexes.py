@@ -292,7 +292,7 @@ def _deflator_inflation(g_nom: float, g_real: float, step: int) -> float:
             f"real output falls to zero at period {step + 1}: "
             "inflation is undefined"
         )
-    return (1.0 + g_nom) / real_factor - 1.0
+    return _finite_growth((1.0 + g_nom) / real_factor - 1.0, step)
 
 
 def _series(

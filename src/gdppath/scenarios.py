@@ -229,7 +229,7 @@ def generate_panel(scenario: IslandScenario) -> PricedPanel:
         schedule.years, schedule.values_a, schedule.values_b
     ):
         try:
-            _, _, (p_a, p_b), _, (out_a, out_b) = _solve_year(spec, t_a, t_b)
+            _, (p_a, p_b), _, (out_a, out_b) = _solve_year(spec, t_a, t_b)
         except ModelError as exc:
             raise type(exc)(f"year {year}: {exc}") from exc
         periods.append(((out_a, p_a), (out_b, p_b)))
@@ -270,7 +270,7 @@ def _constant_growth_path(
     by ``mult_b`` a year, and sector A so that the measured one-step
     Laspeyres growth is ``rate`` every year.
 
-    At fixed T_B, equilibrium output per labor is linear in T_A, so with
+    Equilibrium output per labor is y = c*T, linear in T, so with
     u = y_A(T_A) and D = lam_A + omega*lam_B the next year's outputs are
     Y_A(m) = (L_t/D)(lam_A*u*m + omega*lam_B*N0) and
     Y_B(m) = (L_t/D)*omega*lam_B*y_B*(1 - N0/(u*m)).  Valued at this year's
@@ -279,12 +279,7 @@ def _constant_growth_path(
     taken in cancellation-free form.
     """
     t_a, t_b = 1.0, 1.0
-    (lam_a, exp_a, _, kappa_a), (lam_b, exp_b, _, kappa_b) = (
-        spec._sector_constants
-    )
-    # Equilibrium output per labor at T = 1.
-    c_a = kappa_a**exp_a
-    c_b = kappa_b**exp_b
+    (lam_a, _, c_a), (lam_b, _, c_b) = spec._sector_constants
     scale = spec.total_labor / spec._labor_denominator
     w_b = scale * spec.omega * lam_b
     n0 = spec.subsistence
@@ -350,8 +345,8 @@ def calibrate_constant_growth(
     economy = spec if spec is not None else default_spec()
     # Both sectors end at the target; refuse it here rather than in the
     # last year's solve, whose error would name no target.
-    for sector, (_, _, _, kappa) in zip(economy.sectors,
-                                         economy._sector_constants):
+    for sector, (_, kappa, _) in zip(economy.sectors,
+                                      economy._sector_constants):
         k_end = target_t_end * kappa
         if not k_end < math.inf:
             raise ValidationError(

@@ -139,6 +139,30 @@ class TestScalarCommands:
             0.05156, abs=5e-6
         )
 
+    def test_gap_overflowing_inflation_exit_2(self, tmp_path, capsys):
+        panel = tmp_path / "one_sector.csv"
+        panel.write_text("year,Y_A,P_A\n0,1,1e-10\n1,1.2e-16,1.7e308\n")
+        code, out, err = run(capsys, "gap", "--format", "general",
+                             "--panel", str(panel))
+        assert (code, out) == (2, "")
+        assert err == "data error: growth from period 0 to 1 is not finite\n"
+
+    @pytest.mark.parametrize("rule", ["common-prices", "own-nominal"])
+    def test_catchup_overflowing_valuation_exit_2(self, tmp_path, capsys,
+                                                  rule):
+        header = "year,Y_A,P_A,Y_B,P_B\n"
+        small, big = tmp_path / "small.csv", tmp_path / "big.csv"
+        small.write_text(header + "0,1,1,1,1\n1,1e308,1,1e308,1\n"
+                         "2,1.7e308,1,1.7e308,1\n")
+        big.write_text(header + "0,1e308,1,1,1\n1,1.5e308,1,1e308,1\n"
+                       "2,1.7e308,1,1.7e308,1\n")
+        code, out, err = run(capsys, "catchup", "--format", "general",
+                             "--rule", rule, "--small", str(small),
+                             "--big", str(big))
+        assert (code, out) == (2, "")
+        assert err == ("data error: small economy's valuation at period 1 "
+                       "is not finite\n")
+
     def test_naive_catchup(self, capsys):
         code, out, _ = run(capsys, "catchup", "--naive",
                            "11", "18", "0.06", "0.03")
@@ -186,8 +210,9 @@ class TestDemo:
             assert abs(float(row.split(",")[1]) - 0.030) < 0.005
 
     def test_matches_golden_files(self, tmp_path, capsys):
-        # tests/golden/demo was written by `gdppath demo` before the one-pass
-        # index kernel; the ten files must stay the same byte for byte.
+        # tests/golden/demo is rewritten only when the output changes on
+        # purpose, and before tests/golden/cli, which reads its gdpnorth.csv
+        # (see test_cli_golden.py).  The ten files must match byte for byte.
         code, _, _ = run(capsys, "demo", "--outdir", str(tmp_path))
         assert code == 0
         golden = sorted(p.name for p in GOLDEN_DEMO.iterdir())

@@ -6,9 +6,12 @@ written into a fresh working directory and named by relative paths, so no
 output depends on where the test runs.  ``flags.txt`` lists every
 subcommand's flags with their defaults.
 
-To rewrite the files (only when an output changes on purpose), run this
-module as a script with the wanted tree's ``src`` on ``PYTHONPATH``:
+To rewrite the files (only when an output changes on purpose), rewrite the
+demo files first, because several cases read ``golden/demo/gdpnorth.csv`` as
+their input; then run this module as a script, each with the wanted tree's
+``src`` on ``PYTHONPATH``:
 
+    PYTHONPATH=src python -m gdppath.cli demo --outdir tests/golden/demo
     PYTHONPATH=src python tests/test_cli_golden.py tests/golden/cli
 """
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,12 +20,14 @@ from gdppath import (
     allocate_labor,
     default_spec,
     generate_panel,
+    island_scenario,
     solve_capital_per_labor,
     solve_equilibrium,
     utility,
 )
 from gdppath.equilibrium import WAGE_NUMERAIRE, _labor_split, _solve_year
 from gdppath.indexes import PricedPanel
+from gdppath.scenarios import ISLAND_RULES
 
 from conftest import bisect_root, golden_section_max
 
@@ -233,8 +236,8 @@ class TestSolveEquilibrium:
             solve_equilibrium(spec, (1.0,))
 
     def test_overflowing_output_is_degenerate_not_nan(self, spec):
-        # k = 1e308 * 5.275 overflows, so y - k*gr is inf - inf and the price
-        # NaN; the kernel refuses it instead of handing on a NaN price.
+        # y = 1e308 * 1.74 is just finite, so the price is too, but sector
+        # A's output L*y is not; the kernel refuses it.
         with pytest.raises(DegenerateSectorError, match="overflows"):
             _solve_year(spec, 1e308, 1.0)
         schedule = ProductivitySchedule(1900, (1.0, 1e308), (1.0, 2.0))
@@ -249,16 +252,24 @@ class TestSolveEquilibrium:
         assert str(info.value) == "a sector's output L*y overflows"
 
 
-# solve_equilibrium as it was before the spec-compiled kernel, when each year
-# went through the validated public helpers: solve_capital_per_labor and
-# output_per_labor per sector, then allocate_labor, which recomputed sector
-# A's output per labor for the labor split.  Written out here so that the
-# reference calls nothing in gdppath; it keeps the helpers' checks and
-# messages, and differs from the old chain only in the wage field
-# EquilibriumPoint no longer has and the check that no price overflows.
+# solve_equilibrium written out in closed form from the spec's public fields:
+# per sector the checked capital per labor k = T*kappa, then y = c*T with
+# c = kappa^(1-lam) and P = W/(lam*y), then the labor split.  Each constant is
+# computed in the order EconomySpec computes it, so the point agrees bit for
+# bit.  The reference calls nothing in gdppath and keeps the public helpers'
+# checks and messages.
+def reference_constants(spec, sector):
+    """gr = R_c + delta, kappa = ((1-lam)/gr)^(1/lam) and c = kappa^(1-lam),
+    the output per labor at T = 1."""
+    lam = sector.elasticity
+    gr = spec.rate_of_return + sector.depreciation
+    kappa = ((1.0 - lam) / gr) ** (1.0 / lam)
+    return gr, kappa, kappa ** (1.0 - lam)
+
+
 def reference_capital_per_labor(t, lam, gr):
-    """solve_capital_per_labor's closed form, then output_per_labor's
-    finite-k check (lam and gr are valid for every spec)."""
+    """solve_capital_per_labor's closed form and checks (lam and gr are valid
+    for every spec)."""
     if not math.isfinite(t):
         raise ValidationError(f"productivity must be finite, got {t!r}")
     if t < 0.0:
@@ -270,11 +281,12 @@ def reference_capital_per_labor(t, lam, gr):
 
 
 def reference_allocate_labor(spec, t_a):
-    """allocate_labor before the kernel's labor split was shared."""
+    """allocate_labor: T_A's checks, then the labor split at y_A = c_A*T_A."""
     (sec_a, sec_b), total = spec.sectors, spec.total_labor
     lam_a, lam_b = sec_a.elasticity, sec_b.elasticity
-    gr_a = spec.rate_of_return + sec_a.depreciation
-    y_a = cobb_douglas(t_a, lam_a, reference_capital_per_labor(t_a, lam_a, gr_a))
+    gr_a, _, c_a = reference_constants(spec, sec_a)
+    reference_capital_per_labor(t_a, lam_a, gr_a)
+    y_a = c_a * t_a
     if y_a <= 0.0:
         raise InfeasibleAllocationError(
             "sector A produces nothing; subsistence cannot be met"
@@ -299,15 +311,14 @@ def helper_chain_solve_equilibrium(spec, productivities):
         )
     ks, ys, prices = [], [], []
     for sector, t in zip(spec.sectors, productivities):
-        gr = spec.rate_of_return + sector.depreciation
-        k = reference_capital_per_labor(t, sector.elasticity, gr)
-        y = cobb_douglas(t, sector.elasticity, k)
-        net_output = y - k * gr
+        gr, _, c = reference_constants(spec, sector)
+        ks.append(reference_capital_per_labor(t, sector.elasticity, gr))
+        y = c * t
+        net_output = sector.elasticity * y
         if net_output <= 0.0:
             raise DegenerateSectorError(
                 "cannot price a sector with zero output per labor"
             )
-        ks.append(k)
         ys.append(y)
         prices.append(WAGE_NUMERAIRE / net_output)
     if math.inf in prices:
@@ -440,44 +451,86 @@ class TestKernelInvariant:
     @settings(max_examples=500)
     def test_results_are_valid_panel_entries(self, spec, t_a, t_b):
         try:
-            _, _, prices, _, outputs = _solve_year(spec, t_a, t_b)
+            _, prices, _, outputs = _solve_year(spec, t_a, t_b)
         except ModelError:
             return
         for y, p in zip(outputs, prices):
             assert 0.0 <= y < math.inf and 0.0 < p < math.inf
 
 
+def physical_chain(t, lam, gr):
+    """k, y and net output per labor the way the model is derived: capital
+    k = T*kappa, output y = T^lam * k^(1-lam), and y - k*gr, which is left
+    once the capital charge at the own price is paid."""
+    k = t * ((1.0 - lam) / gr) ** (1.0 / lam)
+    y = cobb_douglas(t, lam, k)
+    return k, y, y - k * gr
+
+
+class TestClosedFormMatchesPhysicalChain:
+    """The kernel's y = c*T and P = W/(lam*y) agree with the physical chain
+    they are derived from, P = W/(y - k*gr), wherever the chain's values are
+    normal floats with room to spare.
+
+    The bound is a few roundings per chain plus what the chain's powers
+    carry: lam + (1-lam) need not be exactly 1 in floats, so T^lam * k^(1-lam)
+    is off by up to |ln T| roundings, and a kappa rounded at its exponent
+    1/lam by up to |ln kappa|.  y - k*gr then cancels all but lam of y, which
+    divides P's bound by lam.  Measured over 30000 drawn points: at most a
+    quarter of either bound."""
+
+    @given(spec=two_sector_specs(), t_a=extreme_productivities,
+           t_b=extreme_productivities)
+    @settings(max_examples=500)
+    def test_agree_where_the_chain_is_finite(self, spec, t_a, t_b):
+        # y and P depend on neither L_t nor N0.  At L_t = 1 and N0 = 0 no
+        # labor split is infeasible and no output exceeds its y.
+        spec = dataclasses.replace(spec, total_labor=1.0, subsistence=0.0)
+        chains = []
+        for sector, t in zip(spec.sectors, (t_a, t_b)):
+            lam, gr = sector.elasticity, spec.gross_return(sector)
+            try:
+                k, y, net = physical_chain(t, lam, gr)
+            except OverflowError:
+                return
+            # A normal net at most half the float maximum keeps W/net so too.
+            if not all(sys.float_info.min <= v <= sys.float_info.max / 2.0
+                       for v in (k, y, net)):
+                return
+            kappa = k / t
+            bound = 2.0**-52 * (8.0 + abs(math.log(t)) + abs(math.log(kappa)))
+            chains.append((y, WAGE_NUMERAIRE / net, bound, bound / lam))
+        ys, prices, _, _ = _solve_year(spec, t_a, t_b)
+        for (y_chain, p_chain, y_bound, p_bound), y, p in zip(
+                chains, ys, prices):
+            assert abs(y_chain - y) <= y_bound * y
+            assert abs(p_chain - p) <= p_bound * p
+
+
 # The kernel and generate_panel before the kernel refused an overflowing
-# output, copied verbatim but for their names and with the kernel's message
-# constants written out; the panel was then built with PricedPanel's checked
-# constructor, whose entry check refused such an output.
+# output, in closed form from the spec's public fields and with the kernel's
+# message constants written out; the panel was then built with PricedPanel's
+# checked constructor, whose entry check refused such an output.
 def checked_solve_year(spec, t_a, t_b):
-    (lam_a, exp_a, gr_a, kappa_a), (lam_b, exp_b, gr_b, kappa_b) = (
-        spec._sector_constants
-    )
-    k_a = t_a * kappa_a
-    k_b = t_b * kappa_b
-    y_a = t_a**lam_a * k_a**exp_a
-    y_b = t_b**lam_b * k_b**exp_b
-    # Zero profit with capital charged at the sector's own price:
-    # P*y = W + P*k*gr, so P = W / (y - k*gr), i.e. W / (lam*y).
-    net_a = y_a - k_a * gr_a
+    sec_a, sec_b = spec.sectors
+    lam_a, lam_b = sec_a.elasticity, sec_b.elasticity
+    y_a = reference_constants(spec, sec_a)[2] * t_a
+    y_b = reference_constants(spec, sec_b)[2] * t_b
+    net_a = lam_a * y_a
     if net_a <= 0.0:
         raise DegenerateSectorError(
             "cannot price a sector with zero output per labor")
-    net_b = y_b - k_b * gr_b
+    net_b = lam_b * y_b
     if net_b <= 0.0:
         raise DegenerateSectorError(
             "cannot price a sector with zero output per labor")
     p_a = WAGE_NUMERAIRE / net_a
     p_b = WAGE_NUMERAIRE / net_b
-    # Written so that a NaN price (inf - inf when k overflows) counts too.
     if not p_a < math.inf or not p_b < math.inf:
         raise DegenerateSectorError(
             "cannot price a sector: its price W/(lam*y) overflows")
     labor_a, labor_b = _labor_split(spec, lam_a, y_a)
     return (
-        (k_a, k_b),
         (y_a, y_b),
         (p_a, p_b),
         (labor_a, labor_b),
@@ -492,7 +545,7 @@ def checked_generate_panel(scenario):
         schedule.years, schedule.values_a, schedule.values_b
     ):
         try:
-            _, _, (p_a, p_b), _, (out_a, out_b) = checked_solve_year(
+            _, (p_a, p_b), _, (out_a, out_b) = checked_solve_year(
                 spec, t_a, t_b)
         except (InfeasibleAllocationError, DegenerateSectorError) as exc:
             raise type(exc)(f"year {year}: {exc}") from exc
@@ -558,7 +611,7 @@ class TestPanelNeedsNoSecondCheck:
         for year, t_a, t_b in zip(
             schedule.years, schedule.values_a, schedule.values_b
         ):
-            outputs = checked_solve_year(scenario.spec, t_a, t_b)[4]
+            outputs = checked_solve_year(scenario.spec, t_a, t_b)[3]
             if not all(y < math.inf for y in outputs):
                 break
         else:
@@ -595,6 +648,67 @@ class TestUtility:
     def test_rejects_negative_output(self, spec, outputs):
         with pytest.raises(ValidationError, match="outputs must be >= 0"):
             utility(spec, *outputs)
+
+    @pytest.mark.parametrize("total_labor, outputs", [
+        (100_000.0, (1e6, 1e300)),  # (Y_B/L_t)^omega = 1e1475 overflows
+        (0.5, (1.0, 1.7e308)),  # Y_B/L_t overflows, and 0 * inf is NaN
+    ])
+    def test_refuses_utility_beyond_float_range(self, spec, total_labor,
+                                                outputs):
+        spec = dataclasses.replace(spec, total_labor=total_labor)
+        with pytest.raises(ValidationError, match="utility must be finite"):
+            utility(spec, *outputs)
+
+
+def expenditure(spec, prices, u):
+    """E(p, u) = p_A*N0 + [u*(1+w)^(1+w)*p_A*p_B^w / w^w]^(1/(1+w)), the
+    least spending per person that reaches utility u > 0 at prices p under
+    u = (x_A - N0) * x_B^w; None where a term leaves the normal float
+    range."""
+    (p_a, p_b), w = prices, spec.omega
+    try:
+        inner = u * (1.0 + w) ** (1.0 + w) * p_a * p_b**w / w**w
+    except OverflowError:
+        return None
+    if not sys.float_info.min <= inner < math.inf:
+        return None
+    return p_a * spec.subsistence + inner ** (1.0 / (1.0 + w))
+
+
+class TestConsumerOptimum:
+    """Every solved year is the consumer's optimum at its prices: where
+    u > 0, the economy spends the least that reaches u, L_t*E(p, u) = p.q.
+    The largest relative gap measured is 7.3e-16 over 20000 drawn years."""
+
+    def assert_optimal(self, spec, prices, outputs):
+        try:
+            u = utility(spec, *outputs)
+        except ValidationError:  # u beyond the float range
+            return
+        if not u >= sys.float_info.min:
+            return
+        least = expenditure(spec, prices, u)
+        if least is None:
+            return
+        spending = prices[0] * outputs[0] + prices[1] * outputs[1]
+        assert abs(spec.total_labor * least - spending) <= 4e-15 * spending
+
+    @given(spec=two_sector_specs(), t_a=productivities, t_b=productivities)
+    @settings(max_examples=300)
+    def test_solved_years(self, spec, t_a, t_b):
+        try:
+            eq = solve_equilibrium(spec, (t_a, t_b))
+        except ModelError:
+            return
+        self.assert_optimal(spec, eq.prices, eq.outputs)
+
+    @pytest.mark.parametrize("rule", ISLAND_RULES)
+    def test_islands(self, rule):
+        scenario = island_scenario(rule)
+        panel = generate_panel(scenario)
+        for i in range(panel.n_periods):
+            self.assert_optimal(scenario.spec, panel.prices(i),
+                                panel.quantities(i))
 
 
 class TestSpecValidation:

@@ -139,6 +139,16 @@ class TestPerspectiveReport:
                 1.0 + r.national_inflation
             ) == pytest.approx(1.0 + r.international_growth, rel=1e-12)
 
+    def test_overflowing_inflation_refused(self):
+        # Real output falls to 1.2e-16 of its base while nominal GDP grows
+        # 2e302-fold: the deflator's ratio overflows although both growth
+        # rates are finite.
+        panel = PricedPanel(("A",), (((1.0, 1e-10),), ((1.2e-16, 1.7e308),)),
+                            (0, 1))
+        with pytest.raises(DegenerateBaseError,
+                           match="^growth from period 0 to 1 is not finite$"):
+            perspective_report(panel, 0, IndexMethod.LASPEYRES)
+
 
 def one_sector_panel(values, price=1.0, start=2000):
     return PricedPanel(
@@ -207,6 +217,20 @@ class TestModelCatchup:
         for rule in ("common-prices", "own-nominal"):
             with pytest.raises(DegenerateBaseError, match="period 0"):
                 model_catchup(small, big, reference_rule=rule)
+
+    @pytest.mark.parametrize("rule", ["common-prices", "own-nominal"])
+    def test_overflowing_valuation_refused(self, rule):
+        # Both economies' period-1 valuations overflow to inf, which would
+        # compare as a crossing with a NaN fractional year.
+        def panel(rows):
+            return PricedPanel(("A", "B"), tuple(
+                ((a, 1.0), (b, 1.0)) for a, b in rows), (0, 1, 2))
+
+        small = panel([(1.0, 1.0), (1e308, 1e308), (1.7e308, 1.7e308)])
+        big = panel([(1e308, 1.0), (1.5e308, 1e308), (1.7e308, 1.7e308)])
+        with pytest.raises(DegenerateBaseError, match=(
+                "^small economy's valuation at period 1 is not finite$")):
+            model_catchup(small, big, reference_rule=rule)
 
     def test_mismatched_horizons_rejected(self, china_panel):
         other = one_sector_panel([1.0, 2.0, 3.0], start=2015)
