@@ -18,10 +18,13 @@ from .indexes import (
     GrowthSeries,
     IndexMethod,
     PricedPanel,
+    _check_step,
     _deflator_inflation,
     _finite_growth,
+    _own_price_value,
     _series,
-    nominal_gdp,
+    _step_entry,
+    _step_growth,
     nominal_growth,
     real_growth,
 )
@@ -105,6 +108,14 @@ def common_price_valuations(
     return tuple(values)
 
 
+def _first_laspeyres_growth(panel: PricedPanel) -> float:
+    """``real_growth(panel, 0, LASPEYRES)`` from the first step alone, with
+    no step table built for the rest of the panel."""
+    _check_step(panel, 0)
+    entry = _step_entry(panel.periods[0], panel.periods[1])
+    return _step_growth(entry, IndexMethod.LASPEYRES, 0)
+
+
 def common_price_growth(
     panel: PricedPanel, reference_prices: tuple[float, ...] | list[float]
 ) -> GrowthSeries:
@@ -161,8 +172,8 @@ def model_catchup(
         v_small = common_price_valuations(small, ref)
         v_big = common_price_valuations(big, ref)
     else:
-        v_small = tuple(nominal_gdp(small, i) for i in range(small.n_periods))
-        v_big = tuple(nominal_gdp(big, i) for i in range(big.n_periods))
+        v_small = tuple(map(_own_price_value, small.periods))
+        v_big = tuple(map(_own_price_value, big.periods))
     # A valuation adds non-negative finite products, so only inf is not
     # finite; it would cross at inf >= inf with a NaN fraction.
     for economy, values in (("small", v_small), ("big", v_big)):
@@ -177,8 +188,8 @@ def model_catchup(
         naive_years = naive_catchup(
             v_small[0],
             v_big[0],
-            real_growth(small, 0, IndexMethod.LASPEYRES),
-            real_growth(big, 0, IndexMethod.LASPEYRES),
+            _first_laspeyres_growth(small),
+            _first_laspeyres_growth(big),
         )
     except (NoSolutionError, ValidationError):
         naive_years = None

@@ -87,8 +87,9 @@ class PricedPanel:
     def _from_checked(cls, sector_names, periods, period_labels) -> PricedPanel:
         """A panel whose producer has already checked its shape and every
         entry, as ``__post_init__`` would: ``read_panel`` checks each entry
-        as it parses it, and ``generate_panel``'s kernel returns only valid
-        entries.  Only the labels' order is checked here."""
+        in its bulk or its row-by-row pass, and ``generate_panel``'s kernel
+        returns only valid entries.  Only the labels' order is checked
+        here."""
         _check_labels(period_labels)
         panel = object.__new__(cls)
         object.__setattr__(panel, "sector_names", sector_names)
@@ -102,24 +103,20 @@ class PricedPanel:
 
     @cached_property
     def _steps(self) -> tuple[tuple, ...]:
-        """One entry per step, ``(period0, period1, v00, v01, v10, v11)``:
-        the step's two periods and its four basket values (see
-        ``_step_sums``).  Built on first use, not with the panel, and shared
-        by every index, inflation and perspective call on it; the cache sits
-        in the instance ``__dict__``, outside the dataclass fields, so
-        equality, hash and repr ignore it.  A step whose values overflow
-        although its entries are finite is held scaled (see
-        ``_scaled_step``), with the scaled periods, so that Tornqvist's
-        per-sector shares match its sums."""
+        """One ``_step_entry`` per step.  Built on first use, not with the
+        panel, and shared by every index, inflation and perspective call on
+        it; the cache sits in the instance ``__dict__``, outside the
+        dataclass fields, so equality, hash and repr ignore it."""
         periods = self.periods
-        table = []
-        for period0, period1 in zip(periods, periods[1:]):
-            sums = _step_sums(period0, period1)
-            if math.inf in sums:
-                period0, period1 = _scaled_step(period0, period1)
-                sums = _step_sums(period0, period1)
-            table.append((period0, period1) + sums)
-        return tuple(table)
+        return tuple(map(_step_entry, periods, periods[1:]))
+
+    @cached_property
+    def _rates(self) -> dict:
+        """Whole-series rates from ``_table_rates``, filled on first use:
+        one entry per ``IndexMethod``, and one under ``_NOMINAL`` for
+        nominal growth.  An entry is None where that loop cannot vouch for
+        every step."""
+        return {}
 
     def quantities(self, i: int) -> tuple[float, ...]:
         return tuple(q for q, _ in self.periods[i])
@@ -157,16 +154,24 @@ def nominal_gdp(panel: PricedPanel, period: int) -> float:
         raise ValidationError(
             f"period {period} out of range for {panel.n_periods} periods"
         )
+    return _own_price_value(panel.periods[period])
+
+
+def _own_price_value(period) -> float:
+    """``nominal_gdp`` of one period, unchecked."""
     # Left to right, as ``_step_sums`` adds: the builtin ``sum`` rounds
     # float sums differently on Python 3.12+.
     total = 0.0
-    for q, p in panel.periods[period]:
+    for q, p in period:
         total += p * q
     return total
 
 
 def nominal_growth(panel: PricedPanel, step: int) -> float:
     """GDP_{i+1} / GDP_i - 1 at each period's own prices."""
+    rates = _cached_rates(panel, _NOMINAL)
+    if rates is not None and 0 <= step < len(rates):
+        return rates[step]
     _check_step(panel, step)
     _, _, base, _, _, gdp1 = panel._steps[step]
     if base <= 0.0:
@@ -215,6 +220,19 @@ def _scaled_step(period0, period1):
               for q, p in period)
         for period in (period0, period1)
     )
+
+
+def _step_entry(period0, period1) -> tuple:
+    """``(period0, period1, v00, v01, v10, v11)``: the step's two periods
+    and its four basket values (see ``_step_sums``).  A step whose values
+    overflow although its entries are finite is held scaled (see
+    ``_scaled_step``), with the scaled periods, so that Tornqvist's
+    per-sector shares match its sums."""
+    sums = _step_sums(period0, period1)
+    if math.inf in sums:
+        period0, period1 = _scaled_step(period0, period1)
+        sums = _step_sums(period0, period1)
+    return (period0, period1) + sums
 
 
 def _step_growth(entry, method: IndexMethod, step: int) -> float:
@@ -275,6 +293,9 @@ def real_growth(panel: PricedPanel, step: int, method: IndexMethod) -> float:
     the later period's, Fisher is their geometric mean, and Tornqvist weights
     log quantity changes by mean expenditure shares.
     """
+    rates = _cached_rates(panel, method)
+    if rates is not None and 0 <= step < len(rates):
+        return rates[step]
     _check_step(panel, step)
     return _step_growth(panel._steps[step], method, step)
 
@@ -327,23 +348,45 @@ def growth_series(
     chained level and running average (arithmetic unless
     ``geometric_average``).
 
-    The rates come from one loop per method over the step table.  Where
-    that loop cannot vouch for every step, the series is rebuilt step by
-    step with ``_step_growth``, which ``real_growth`` also uses, so the
-    first failing step raises its own error."""
-    rates = _table_rates(panel, method)
+    The rates come from one loop per method over the step table, kept on
+    the panel for ``real_growth`` to read.  Where that loop cannot vouch
+    for every step, the series is rebuilt step by step with
+    ``_step_growth``, which ``real_growth`` then also uses, so the first
+    failing step raises its own error."""
+    rates = _cached_rates(panel, method)
     if rates is None:
         rates = [_step_growth(entry, method, step)
                  for step, entry in enumerate(panel._steps)]
     return _series(panel, rates, geometric_average)
 
 
-def _table_rates(panel: PricedPanel, method: IndexMethod):
-    """Every step's rate under ``method``, or None when some base is not
-    positive, some rate is not finite, or the Tornqvist domain is not
-    known to hold for every step."""
+# The key of nominal growth's rates in ``PricedPanel._rates``; no argument
+# of ``real_growth`` is this object.
+_NOMINAL = object()
+
+
+def _cached_rates(panel: PricedPanel, key):
+    """``_table_rates(panel, key)``, computed once per panel and key."""
+    cache = panel._rates
+    try:
+        return cache[key]
+    except KeyError:
+        rates = cache[key] = _table_rates(panel, key)
+        return rates
+
+
+def _table_rates(panel: PricedPanel, method):
+    """Every step's rate under ``method``, or nominal growth's under
+    ``_NOMINAL``, as a tuple; None when some base is not positive, some
+    rate is not finite, or the Tornqvist domain is not known to hold for
+    every step.  It raises no error: a later step's rate may be asked for
+    although an earlier step fails."""
     steps = panel._steps
-    if method is IndexMethod.TORNQVIST:
+    if method is _NOMINAL:
+        if not all(entry[2] > 0.0 for entry in steps):
+            return None
+        rates = [v11 / v00 - 1.0 for _, _, v00, _, _, v11 in steps]
+    elif method is IndexMethod.TORNQVIST:
         periods = panel.periods
         if any(q <= 0.0 for period in periods for q, _ in period):
             return None
@@ -352,9 +395,12 @@ def _table_rates(panel: PricedPanel, method: IndexMethod):
         if any(entry[0] is not period
                for entry, period in zip(steps, periods)):
             return None
-        return [_tornqvist_growth(entry, step)
-                for step, entry in enumerate(steps)]
-    if method is IndexMethod.LASPEYRES:
+        try:
+            return tuple([_tornqvist_growth(entry, step)
+                          for step, entry in enumerate(steps)])
+        except (DegenerateBaseError, MethodDomainError):
+            return None
+    elif method is IndexMethod.LASPEYRES:
         if not all(entry[2] > 0.0 for entry in steps):
             return None
         rates = [v01 / v00 - 1.0 for _, _, v00, v01, _, _ in steps]
@@ -376,7 +422,7 @@ def _table_rates(panel: PricedPanel, method: IndexMethod):
     # An infinite or NaN rate makes the sum not finite.  So may finite
     # rates whose sum overflows; the step-by-step path then gives them
     # again.
-    return rates if sum(rates) < math.inf else None
+    return tuple(rates) if sum(rates) < math.inf else None
 
 
 def circularity_residual(

@@ -15,7 +15,7 @@ panel bit for bit.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import chain, repeat
 
 from .errors import PanelFormatError, ValidationError
 from .indexes import PricedPanel, _entry_problem
@@ -94,14 +94,69 @@ def read_panel(
     column: its sectors are A and B and its years count from
     ``start_year``.  Malformed rows, non-finite entries, negative
     quantities, and non-positive prices are reported with their line number.
+
+    A text is read in one bulk pass over all its rows; any text that pass
+    cannot vouch for is read row by row, which names its first fault.
     """
     if mode not in PANEL_MODES:
         raise ValidationError(f"unknown panel mode {mode!r}")
-    lines = enumerate(text.splitlines(), start=1)
-    rows = [(line_no, line) for line_no, line in lines if line.strip()]
+    lines = text.splitlines()
+    general = mode == GENERAL
+    read = _read_bulk(lines, general)
+    if read is None:
+        read = _read_rows(lines, general)
+    names, periods, labels = read
+    if not general:
+        labels = range(start_year, start_year + len(periods))
+    # Every entry is checked by either pass.
+    return PricedPanel._from_checked(tuple(names), tuple(periods),
+                                     tuple(labels))
+
+
+def _read_bulk(lines, general: bool):
+    """``(names, periods, labels)`` of a text with no blank line and rows
+    of the header's width whose every field parses to a valid entry; None
+    for any other text.  A header on the first line is parsed as the
+    row-by-row pass would, faults and all.  A paper-compat text has no
+    labels (None)."""
+    if general:
+        if not lines or not lines[0].strip():
+            return None
+        names = _parse_header(1, lines[0])
+        lines = lines[1:]
+    else:
+        names = ["A", "B"]
+    width = 2 * len(names) + general
+    # A blank line has no comma, and every width is at least 3.
+    if {*map(str.count, lines, repeat(","))} != {width - 1}:
+        return None
+    fields = ",".join(lines).split(",")
+    try:
+        if general:
+            labels = list(map(int, fields[::width]))
+            del fields[::width]
+        else:
+            labels = None
+        values = list(map(float, fields))
+    except ValueError:
+        return None
+    # NaN, an infinity or a sum that overflows fails the guard, and leaves
+    # the entries to the row-by-row pass.
+    if not (sum(values) < math.inf and min(values[::2]) >= 0.0
+            and min(values[1::2]) > 0.0):
+        return None
+    pairs = iter(zip(values[::2], values[1::2]))
+    return names, tuple(zip(*[pairs] * len(names))), labels
+
+
+def _read_rows(lines, general: bool):
+    """``(names, periods, labels)`` read row by row, raising on the first
+    fault with its line number.  A paper-compat text has no labels (an
+    empty list)."""
+    rows = [(line_no, line) for line_no, line in enumerate(lines, start=1)
+            if line.strip()]
     if not rows:
         raise PanelFormatError("empty panel stream")
-    general = mode == GENERAL
     names = _parse_header(*rows.pop(0)) if general else ["A", "B"]
     if not rows:
         raise PanelFormatError("panel stream has a header but no rows")
@@ -135,8 +190,4 @@ def read_panel(
                     f"line {line_no}: sector {name}: {problem}")
             period.append((qty, price))
         periods.append(tuple(period))
-    if not general:
-        labels = range(start_year, start_year + len(periods))
-    # Every entry is checked above, where its line is known.
-    return PricedPanel._from_checked(tuple(names), tuple(periods),
-                                     tuple(labels))
+    return names, periods, labels

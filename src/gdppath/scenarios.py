@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .equilibrium import (
+    _OUTPUT_OVERFLOW,
     EconomySpec,
     SectorParams,
     _solve_year,
@@ -23,6 +24,7 @@ from .equilibrium import (
 )
 from .errors import (
     CalibrationError,
+    DegenerateSectorError,
     ModelError,
     PanelFormatError,
     ValidationError,
@@ -358,7 +360,13 @@ def calibrate_constant_growth(
 
     @functools.lru_cache(maxsize=None)
     def endpoint_gap(rate: float) -> float:
-        values_a, _ = _constant_growth_path(rate, mult_b, years, economy)
+        # A path whose output overflows overshoots: its rate is too high.
+        try:
+            values_a, _ = _constant_growth_path(rate, mult_b, years, economy)
+        except DegenerateSectorError as exc:
+            if str(exc) != _OUTPUT_OVERFLOW:
+                raise
+            return math.inf
         return values_a[-1] - target_t_end
 
     hi = 0.15
@@ -371,6 +379,9 @@ def calibrate_constant_growth(
             )
     lo = 0.0 if endpoint_gap(1e-4) > 0.0 else 1e-4
     rate = _bisect(endpoint_gap, lo, hi, tol=1e-12)
+    if endpoint_gap(rate) == math.inf:  # its path's output overflows
+        raise CalibrationError(
+            f"calibrated rate {rate!r}: {_OUTPUT_OVERFLOW}")
     values_a, values_b = _constant_growth_path(rate, mult_b, years, economy)
     # Written so that a NaN endpoint counts as a miss.
     if not abs(values_a[-1] - target_t_end) <= 1e-9 * target_t_end:

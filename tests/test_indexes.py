@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -944,6 +945,27 @@ def step_oracle_growth_series(panel, method=IndexMethod.LASPEYRES,
     return step_oracle_series(panel, rates, geometric_average)
 
 
+def step_by_step(panel):
+    """An equal panel on which the per-step API computes each step alone,
+    as it did before the whole-series rates were kept: every entry of its
+    rate cache reads None, so no call uses a whole-series loop."""
+    twin = fresh(panel)
+    vars(twin)["_rates"] = collections.defaultdict(lambda: None)
+    return twin
+
+
+def per_step_outcomes(panel, method):
+    """Every step's ``real_growth``, ``nominal_growth``, ``inflation`` and
+    ``perspective_report`` outcome under ``method``."""
+    return [
+        (outcome(real_growth, panel, step, method),
+         outcome(nominal_growth, panel, step),
+         outcome(inflation, panel, step, method),
+         outcome(perspective_report, panel, step, method))
+        for step in range(panel.n_periods - 1)
+    ]
+
+
 # Rates of -1 (a level of 0), rates whose chained level overflows, -0.0,
 # and any other float, NaN and infinities included.
 series_rates = st.lists(
@@ -992,6 +1014,16 @@ class TestTableLoops:
             for geometric in (False, True):
                 check(panel, method, geometric)
             check(loop, method)
+        # The per-step API reads the rates a series keeps on its panel: it
+        # gives the same results and errors on a fresh panel, after a
+        # series of the same method, and after one of another method.
+        for i, method in enumerate(ALL_METHODS):
+            expected = repr(per_step_outcomes(step_by_step(panel), method))
+            assert repr(per_step_outcomes(fresh(panel), method)) == expected
+            for other in (method, ALL_METHODS[i - 1]):
+                after = fresh(panel)
+                outcome(growth_series, after, other)
+                assert repr(per_step_outcomes(after, method)) == expected
 
     @given(series_rates, st.booleans())
     def test_series_matches_old_loop(self, rates, geometric_average):

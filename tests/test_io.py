@@ -710,6 +710,18 @@ class TestEntriesCheckedOnce:
     # Two faults in a row: an entry at fault before an unparsable field.
     @example((PAPER_COMPAT, "1,1,1,1\n-1,1,abc,1\n"), 1900)
     @example((GENERAL, "year,Y_a,P_a,Y_b,P_b\n1990,1,0,1e400,x\n"), 1900)
+    # Texts the bulk pass leaves to the row-by-row pass, or must read as it
+    # does: blank lines before the header, mid-panel and last; a short row
+    # then a long one, whose fields add up to full rows; valid entries whose
+    # sum overflows; a -0 quantity; nan; and a year with spaces.
+    @example((GENERAL, "\nyear,Y_a,P_a\n1990,1,1\n1991,2,1\n"), 1900)
+    @example((PAPER_COMPAT, "1,1,1,1\n\n2,1,2,1\n"), 1900)
+    @example((GENERAL, "year,Y_a,P_a\n1990,1,1\n1991,2,1\n  "), 1900)
+    @example((PAPER_COMPAT, "1,1,1,1\n1,1,1\n1,1,1,1,1\n"), 1900)
+    @example((PAPER_COMPAT, "1e308,1,1e308,1\n1.5e308,1,1e308,1\n"), 1900)
+    @example((GENERAL, "year,Y_a,P_a\n1990,-0,1\n1991,1,1\n"), 1900)
+    @example((PAPER_COMPAT, "1,1,1,1\n1,1,nan,1\n"), 1900)
+    @example((GENERAL, "year,Y_a,P_a\n 1901 ,1,1\n1902,1,1\n"), 1900)
     def test_reader_matches_oracle(self, case, start_year):
         mode, text = case
         new = outcome(read_panel, text, mode, start_year)

@@ -492,15 +492,35 @@ class TestCalibrationBracket:
         _, rate = calibrate_constant_growth(18.93, 98, spec)
         assert rate == 0.03046239871955931
 
-    @pytest.mark.parametrize("labor", [1e300, 1e303])
+    @pytest.mark.parametrize("labor", [1e290, 1e300, 1e303, 1e305])
     def test_huge_labor_force_output_overflows(self, labor):
         # The path at the bracket's upper end, rate 0.15, overflows a
-        # sector's output L*y, although the default rate's schedule
-        # simulates at these labor forces.
+        # sector's output L*y; it counts as an overshoot, and the default
+        # rate's schedule, which simulates at these labor forces, is found.
         spec = dataclasses.replace(default_spec(), total_labor=labor)
-        with pytest.raises(DegenerateSectorError) as info:
+        _, rate = calibrate_constant_growth(18.93, 98, spec)
+        assert rate == 0.03046239871955931
+
+    def test_degenerate_sector_is_no_overshoot(self):
+        # Only an overflowing output counts as an overshoot: a sector whose
+        # output per labor underflows to zero fails every path as before.
+        base = default_spec()
+        spec = dataclasses.replace(
+            base, sectors=(SectorParams("A", 0.01, 0.1), base.sectors[1]),
+            rate_of_return=1e4)
+        with pytest.raises(DegenerateSectorError, match="^cannot price a "
+                           "sector with zero output per labor$"):
             calibrate_constant_growth(18.93, 98, spec)
-        assert str(info.value) == "a sector's output L*y overflows"
+
+    def test_calibrated_path_output_overflows(self):
+        # Every path that reaches the target overflows a sector's output;
+        # the bisection closes in on the rate from which paths overflow,
+        # and the error names it.
+        spec = dataclasses.replace(default_spec(), total_labor=1e307)
+        with pytest.raises(CalibrationError,
+                           match=r"^calibrated rate 0\.0\d+: a sector's "
+                                 r"output L\*y overflows$"):
+            calibrate_constant_growth(18.93, 98, spec)
 
 
 class TestNoSilentResults:
