@@ -23,8 +23,8 @@ from .indexes import (
     _finite_growth,
     _own_price_value,
     _series,
-    _step_entry,
     _step_growth,
+    _step_table,
     nominal_growth,
     real_growth,
 )
@@ -112,7 +112,7 @@ def _first_laspeyres_growth(panel: PricedPanel) -> float:
     """``real_growth(panel, 0, LASPEYRES)`` from the first step alone, with
     no step table built for the rest of the panel."""
     _check_step(panel, 0)
-    entry = _step_entry(panel.periods[0], panel.periods[1])
+    entry = _step_table(panel.periods[:2])[0]
     return _step_growth(entry, IndexMethod.LASPEYRES, 0)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate
-from operator import mul
+from operator import le, mul
 
 from .errors import (
     DegenerateBaseError,
@@ -45,9 +45,8 @@ def _entry_problem(qty: float, price: float) -> str:
 
 
 def _check_labels(labels) -> None:
-    for label_prev, label in zip(labels, labels[1:]):
-        if label <= label_prev:
-            raise ValidationError("period labels must be strictly increasing")
+    if any(map(le, labels[1:], labels)):
+        raise ValidationError("period labels must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -71,14 +70,19 @@ class PricedPanel:
         if len(self.period_labels) != len(self.periods):
             raise ValidationError("one label per period required")
         _check_labels(self.period_labels)
+        inf = math.inf
         for i, period in enumerate(self.periods):
             if len(period) != n:
                 raise ValidationError(
                     f"period {i}: expected {n} (quantity, price) pairs, "
                     f"got {len(period)}"
                 )
-            for name, (qty, price) in zip(self.sector_names, period):
-                if not (0.0 <= qty < math.inf and 0.0 < price < math.inf):
+            for pair in period:
+                qty, price = pair
+                if not (0.0 <= qty < inf and 0.0 < price < inf):
+                    # Every earlier pair passed, so none equals this one
+                    # and ``index`` finds this one's sector.
+                    name = self.sector_names[period.index(pair)]
                     problem = _entry_problem(qty, price)
                     raise ValidationError(
                         f"period {i}, sector {name}: {problem}")
@@ -103,12 +107,11 @@ class PricedPanel:
 
     @cached_property
     def _steps(self) -> tuple[tuple, ...]:
-        """One ``_step_entry`` per step.  Built on first use, not with the
+        """The panel's ``_step_table``.  Built on first use, not with the
         panel, and shared by every index, inflation and perspective call on
         it; the cache sits in the instance ``__dict__``, outside the
         dataclass fields, so equality, hash and repr ignore it."""
-        periods = self.periods
-        return tuple(map(_step_entry, periods, periods[1:]))
+        return tuple(_step_table(self.periods))
 
     @cached_property
     def _rates(self) -> dict:
@@ -159,7 +162,7 @@ def nominal_gdp(panel: PricedPanel, period: int) -> float:
 
 def _own_price_value(period) -> float:
     """``nominal_gdp`` of one period, unchecked."""
-    # Left to right, as ``_step_sums`` adds: the builtin ``sum`` rounds
+    # Left to right, as ``_step_table`` adds: the builtin ``sum`` rounds
     # float sums differently on Python 3.12+.
     total = 0.0
     for q, p in period:
@@ -189,16 +192,31 @@ def _finite_growth(growth: float, step: int) -> float:
     return growth
 
 
-def _step_sums(period0, period1) -> tuple[float, float, float, float]:
-    """The four basket values of one step: p0·q0, p0·q1, p1·q0 and p1·q1,
-    each summed over sectors from left to right."""
-    v00 = v01 = v10 = v11 = 0.0
-    for (q0, p0), (q1, p1) in zip(period0, period1):
-        v00 += p0 * q0
-        v01 += p0 * q1
-        v10 += p1 * q0
-        v11 += p1 * q1
-    return v00, v01, v10, v11
+def _step_table(periods) -> list[tuple]:
+    """One entry ``(period0, period1, v00, v01, v10, v11)`` per step of
+    ``periods``: the step's two periods and its four basket values p0·q0,
+    p0·q1, p1·q0 and p1·q1, each summed over sectors from left to right.
+
+    A period's own value is summed once: a step's v11 is the next step's
+    v00, the same products added in the same order.  A step whose values
+    overflow although its entries are finite is held scaled (see
+    ``_scaled_step``), with the scaled periods, so that Tornqvist's
+    per-sector shares match its sums; the unscaled v11 still carries."""
+    table = []
+    inf = math.inf
+    v11 = _own_price_value(periods[0])
+    for period0, period1 in zip(periods, periods[1:]):
+        v00 = v11
+        v01 = v10 = v11 = 0.0
+        for (q0, p0), (q1, p1) in zip(period0, period1):
+            v01 += p0 * q1
+            v10 += p1 * q0
+            v11 += p1 * q1
+        if v00 < inf and v01 < inf and v10 < inf and v11 < inf:
+            table.append((period0, period1, v00, v01, v10, v11))
+        else:
+            table += _step_table(_scaled_step(period0, period1))
+    return table
 
 
 def _scaled_step(period0, period1):
@@ -220,19 +238,6 @@ def _scaled_step(period0, period1):
               for q, p in period)
         for period in (period0, period1)
     )
-
-
-def _step_entry(period0, period1) -> tuple:
-    """``(period0, period1, v00, v01, v10, v11)``: the step's two periods
-    and its four basket values (see ``_step_sums``).  A step whose values
-    overflow although its entries are finite is held scaled (see
-    ``_scaled_step``), with the scaled periods, so that Tornqvist's
-    per-sector shares match its sums."""
-    sums = _step_sums(period0, period1)
-    if math.inf in sums:
-        period0, period1 = _scaled_step(period0, period1)
-        sums = _step_sums(period0, period1)
-    return (period0, period1) + sums
 
 
 def _step_growth(entry, method: IndexMethod, step: int) -> float:
@@ -283,7 +288,11 @@ def _tornqvist_growth(entry, step: int) -> float:
                 f"Tornqvist quantity ratio underflows to 0 at period {step}"
             )
         log_index += share * math.log(ratio)
-    return _finite_growth(math.exp(log_index) - 1.0, step)
+    try:
+        factor = math.exp(log_index)
+    except OverflowError:  # the log index rounds above ln(DBL_MAX)
+        factor = math.inf
+    return _finite_growth(factor - 1.0, step)
 
 
 def real_growth(panel: PricedPanel, step: int, method: IndexMethod) -> float:
@@ -353,11 +362,17 @@ def growth_series(
     for every step, the series is rebuilt step by step with
     ``_step_growth``, which ``real_growth`` then also uses, so the first
     failing step raises its own error."""
+    return _series(panel, _series_rates(panel, method), geometric_average)
+
+
+def _series_rates(panel: PricedPanel, method: IndexMethod):
+    """Every step's rate under ``method``: the panel's kept rates, else one
+    ``_step_growth`` per step, so that the first failing step raises."""
     rates = _cached_rates(panel, method)
     if rates is None:
         rates = [_step_growth(entry, method, step)
                  for step, entry in enumerate(panel._steps)]
-    return _series(panel, rates, geometric_average)
+    return rates
 
 
 # The key of nominal growth's rates in ``PricedPanel._rates``; no argument
@@ -439,7 +454,8 @@ def circularity_residual(
                 raise NotALoopError(
                     f"sector {name}: endpoints differ ({v0} vs {v1})"
                 )
-    level = growth_series(panel, method).chained_level[-1]
+    # A left fold from 1, as ``growth_series`` chains its level.
+    level = math.prod(1.0 + rate for rate in _series_rates(panel, method))
     if not 0.0 < level < math.inf:  # a rate that rounds to -100% gives 0
         raise DegenerateBaseError(
             f"chained level over the loop is {level!r}: no finite log")

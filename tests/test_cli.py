@@ -275,6 +275,17 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1
 
+    def test_tornqvist_index_overflow_exit_2(self, tmp_path, capsys):
+        # Three sectors priced 1 whose quantities go from 1 to the largest
+        # float: the log index rounds above ln(MAX) and exp overflows.
+        panel = tmp_path / "panel.csv"
+        panel.write_text("year,Y_A,P_A,Y_B,P_B,Y_C,P_C\n0,1,1,1,1,1,1\n"
+                         "1" + ",1.7976931348623157e308,1" * 3 + "\n")
+        code, out, err = run(capsys, "growth", "--format", "general",
+                             "--method", "tornqvist", "--panel", str(panel))
+        assert (code, out) == (2, "")
+        assert err == "data error: growth from period 0 to 1 is not finite\n"
+
     @pytest.mark.parametrize("argv", [
         *(["growth", "--method", m, "--panel", "{panel}"]
           for m in ("laspeyres", "paasche", "fisher", "tornqvist")),

@@ -35,6 +35,13 @@ GOLDEN_CLI = HERE / "golden" / "cli"
 NORTH_CSV = (HERE / "golden" / "demo" / "gdpnorth.csv").read_text()
 
 
+def _out_and_back(csv: str) -> str:
+    # The panel's rows, then the same rows in reverse back to the first: a
+    # closed loop, as ``{ cat f; tac f | tail -n +2; }`` makes it in shell.
+    rows = csv.splitlines()
+    return "\n".join(rows + rows[-2::-1]) + "\n"
+
+
 def _drifting_small(horizon: int = 30) -> str:
     # Table-1-style small economy: service prices drift up 3% a year.
     rows, q_a, q_b, p_b = [], 2000.0, 300.0, 5.0
@@ -46,6 +53,7 @@ def _drifting_small(horizon: int = 30) -> str:
 
 INPUTS = {
     "north.csv": NORTH_CSV,
+    "north_loop.csv": _out_and_back(NORTH_CSV),
     "china.csv": "2000,1,300,5\n2120,1,303,5.15\n",
     "loop.csv": "1,1,1,1\n2,1,1,2\n1,1,1,1\n",
     "path.csv": "1,1,1,1\n2,1,1,2\n2,1,2,2\n",
@@ -77,6 +85,8 @@ CASES = {
                          "--method fisher",
     "circularity": "circularity --panel loop.csv",
     "circularity_fisher": "circularity --panel loop.csv --method fisher",
+    "circularity_north_loop": "circularity --panel north_loop.csv "
+                              "--method fisher",
     "path_integral": "path-integral --panel path.csv",
     "gap": "gap --panel china.csv --start-year 2015",
     "gap_step_method": "gap --panel north.csv --step 40 --method paasche",

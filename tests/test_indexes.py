@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gdppath import (
@@ -17,8 +17,10 @@ from gdppath import (
     PricedPanel,
     ValidationError,
     circularity_residual,
+    generate_panel,
     growth_series,
     inflation,
+    island_scenario,
     nominal_gdp,
     nominal_growth,
     path_integral_gdp,
@@ -30,6 +32,7 @@ from gdppath.gap import GapReport, common_price_growth, common_price_valuations
 from gdppath.indexes import (
     _check_step,
     _deflator_inflation,
+    _entry_problem,
     _finite_growth,
     _series,
 )
@@ -58,6 +61,40 @@ def panels(draw, min_periods=2, max_periods=5, positive_quantities=True):
         for _ in range(n_periods)
     )
     return panel_of(periods)
+
+
+def first_entry_fault(names, periods):
+    """The message of the constructor's first fault, or None: periods in
+    order, each one's length before its entries, and its sectors in
+    order."""
+    for i, period in enumerate(periods):
+        if len(period) != len(names):
+            return (f"period {i}: expected {len(names)} (quantity, price) "
+                    f"pairs, got {len(period)}")
+        for name, (qty, price) in zip(names, period):
+            if not (0.0 <= qty < math.inf and 0.0 < price < math.inf):
+                problem = _entry_problem(qty, price)
+                return f"period {i}, sector {name}: {problem}"
+    return None
+
+
+BAD_PAIR = (1.0, -math.inf)
+entry_values = st.sampled_from(
+    [1.0, 2.5, 0.0, -0.0, 5e-324, -1.0, math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def entry_faults(draw):
+    """Sector names and periods, some short or long, with entries at
+    fault here and there."""
+    n = draw(st.integers(1, 4))
+    names = tuple(f"S{a}" for a in range(n))
+    periods = tuple(
+        tuple((draw(entry_values), draw(entry_values))
+              for _ in range(draw(st.sampled_from([n, n, n, n - 1, n + 1]))))
+        for _ in range(draw(st.integers(1, 4)))
+    )
+    return names, periods
 
 
 class TestPanelValidation:
@@ -89,6 +126,24 @@ class TestPanelValidation:
     def test_rejects_bad_shape(self, names, labels, message):
         with pytest.raises(ValidationError, match=message):
             PricedPanel(names, (((1.0, 1.0),),), labels)
+
+    @given(entry_faults())
+    @example(fault=(("A", "B"), (((1.0, 1.0), (1.0, 1.0)),
+                                 ((1.0, 1.0), (math.nan, 1.0)))))
+    @example(fault=(("A", "B", "C"), (((1.0, 1.0), (2.0, 0.0), (-1.0, 1.0)),)))
+    @example(fault=(("A", "B"), (((1.0, 1.0), (1.0, 1.0)), ((1.0, 1.0),))))
+    # Lists, and one faulty pair object in two places.
+    @example(fault=(("A", "B", "C"), [[[1.0, 1.0], BAD_PAIR, BAD_PAIR]]))
+    def test_names_the_first_fault(self, fault):
+        names, periods = fault
+        expected = first_entry_fault(names, periods)
+        labels = tuple(range(len(periods)))
+        if expected is None:
+            assert PricedPanel(names, periods, labels).periods is periods
+            return
+        with pytest.raises(ValidationError) as info:
+            PricedPanel(names, periods, labels)
+        assert str(info.value) == expected
 
 
 class TestNominal:
@@ -652,6 +707,17 @@ def table_oracle_step_sums(period0, period1):
     return v00, v01, v10, v11
 
 
+def table_oracle_step_entry(period0, period1):
+    # A table entry from the step's own four sums, scaled by the package's
+    # ``_scaled_step`` where they overflow: each period's own value summed
+    # again for every step it is in.
+    sums = table_oracle_step_sums(period0, period1)
+    if math.inf in sums:
+        period0, period1 = indexes._scaled_step(period0, period1)
+        sums = table_oracle_step_sums(period0, period1)
+    return (period0, period1) + sums
+
+
 def table_oracle_step_growth(period0, period1, method, step):
     if method is IndexMethod.TORNQVIST:
         if any(q <= 0.0 for period in (period0, period1) for q, _ in period):
@@ -826,22 +892,26 @@ class TestStepTable:
         self.assert_same_as_oracle(panel_of(periods))
 
     def test_one_step_sums_pass_per_panel(self, monkeypatch):
-        calls = []
+        builds = []
+        step_table = indexes._step_table
 
-        def counting_step_sums(period0, period1):
-            calls.append(None)
-            return table_oracle_step_sums(period0, period1)
+        def counting_step_table(periods):
+            builds.append(periods)
+            return step_table(periods)
 
-        monkeypatch.setattr(indexes, "_step_sums", counting_step_sums)
+        monkeypatch.setattr(indexes, "_step_table", counting_step_table)
         panel = fresh(long_panel(n_periods=30))
-        assert calls == []  # building a panel does not build its table
+        assert builds == []  # building a panel does not build its table
         for method in ALL_METHODS:
             growth_series(panel, method)
             for step in range(panel.n_periods - 1):
                 inflation(panel, step, method)
                 perspective_report(panel, step, method)
                 nominal_growth(panel, step)
-        assert len(calls) == panel.n_periods - 1
+        # One table over the whole panel, built on first use and read by
+        # every later call: one entry of sums per step.
+        assert len(builds) == 1 and builds[0] is panel.periods
+        assert len(panel._steps) == panel.n_periods - 1
 
     def test_table_leaves_equality_hash_and_repr(self):
         panel, twin = fresh(long_panel(n_periods=5)), long_panel(n_periods=5)
@@ -857,6 +927,9 @@ class TestStepTable:
         assert nominal_gdp(panel, 0) == 1e16
         assert panel._steps[0][2] == nominal_gdp(panel, 0)
         assert common_price_valuations(panel, (1.0, 1.0, 1.0)) == (1e16, 1e16)
+
+
+MAX_FLOAT = 1.7976931348623157e308
 
 
 class TestOverflowingStep:
@@ -900,6 +973,35 @@ class TestOverflowingStep:
         for method in ALL_METHODS:
             assert growth_series(with_overflow, method).rates[1:] == (
                 growth_series(alone, method).rates)
+
+    @pytest.mark.parametrize("n_sectors", range(1, 9))
+    @pytest.mark.parametrize("prices", ["unit", "rising", "halving"])
+    def test_tornqvist_index_overflow_refused(self, n_sectors, prices):
+        # Quantities from 1 to the largest float: the log index is ln(MAX)
+        # times shares that may sum to just above 1, and then exp overflows.
+        price = {"unit": lambda a: 1.0, "rising": lambda a: a + 1.0,
+                 "halving": lambda a: 0.5 ** a}[prices]
+        panel = panel_of([tuple((q, price(a)) for a in range(n_sectors))
+                          for q in (1.0, MAX_FLOAT)])
+        try:
+            growth = real_growth(panel, 0, IndexMethod.TORNQVIST)
+        except DegenerateBaseError as exc:
+            assert str(exc) == "growth from period 0 to 1 is not finite"
+            with pytest.raises(DegenerateBaseError, match=f"^{exc}$"):
+                growth_series(fresh(panel), IndexMethod.TORNQVIST)
+        else:
+            assert growth == pytest.approx(MAX_FLOAT, rel=1e-12)
+            series = growth_series(fresh(panel), IndexMethod.TORNQVIST)
+            assert series.rates == (growth,)
+
+    def test_tornqvist_index_overflow_three_unit_sectors(self):
+        panel = panel_of([((1.0, 1.0),) * 3, ((MAX_FLOAT, 1.0),) * 3])
+        for fn in (real_growth, inflation):
+            with pytest.raises(DegenerateBaseError,
+                               match="^growth from period 0 to 1 is not "):
+                fn(panel, 0, IndexMethod.TORNQVIST)
+        # The table's loop gives the step up to the step-by-step path.
+        assert indexes._table_rates(panel, IndexMethod.TORNQVIST) is None
 
     def test_path_integral_overflow(self):
         panel = panel_of([((1e300, 1e10), (1.0, 1.0)),
@@ -1009,6 +1111,11 @@ class TestTableLoops:
             assert repr(outcome(growth_series, *args)) == repr(
                 outcome(step_oracle_growth_series, *args))
 
+        # The table itself, each period's own value carried to the next
+        # step, against each step's own sums.
+        periods = panel.periods
+        assert repr(panel._steps) == repr(tuple(
+            map(table_oracle_step_entry, periods, periods[1:])))
         loop = out_and_back(panel)
         for method in ALL_METHODS:
             for geometric in (False, True):
@@ -1036,6 +1143,23 @@ class TestTableLoops:
         self.assert_same_as_oracle(panel)
 
     @given(overflowing_panels())
+    # A scaled step in mid-panel whose later own value is finite (only v10
+    # overflows), then a step that reads the unscaled v11 it carries.
+    @example(panel=panel_of([((1.0, 1.0),), ((1e308, 1.0),),
+                             ((1.0, 1e308),), ((1.0, 1e308),)]))
+    # A scaled step in mid-panel whose later own value is infinite, and so
+    # the next step's base.
+    @example(panel=panel_of([((1.0, 1.0), (1.0, 1.0)),
+                             ((2.0, 1.0), (1.0, 1.0)),
+                             ((1e308, 1.0), (1e308, 1.0)),
+                             ((1.0, 1.0), (1.0, 1.0))]))
+    # Only the cross term v01 overflows.
+    @example(panel=panel_of([((1.0, 1e308),), ((1e308, 1.0),),
+                             ((1.0, 1.0),)]))
+    # The first step overflows in its own base.
+    @example(panel=panel_of([((1e308, 1.0), (1e308, 1.0)),
+                             ((1.0, 1.0), (1.0, 1.0)),
+                             ((2.0, 1.0), (1.0, 1.0))]))
     def test_matches_step_by_step_with_scaled_steps(self, panel):
         self.assert_same_as_oracle(panel)
 
@@ -1074,3 +1198,52 @@ class TestTableLoops:
         with pytest.raises(MethodDomainError,
                            match="^Tornqvist requires strictly positive"):
             growth_series(panel, IndexMethod.TORNQVIST)
+
+
+def log_of_chained_level(loop, method):
+    level = growth_series(loop, method).chained_level[-1]
+    if not 0.0 < level < math.inf:
+        raise DegenerateBaseError(
+            f"chained level over the loop is {level!r}: no finite log")
+    return math.log(level)
+
+
+def island_loop():
+    """North out, south back: the two islands share their first and last
+    periods bit for bit, so the loop closes."""
+    north = generate_panel(island_scenario("north"))
+    south = generate_panel(island_scenario("south"))
+    periods = north.periods + south.periods[-2::-1]
+    return PricedPanel(north.sector_names, periods,
+                       tuple(range(len(periods))))
+
+
+class TestResidualFromRates:
+    """The residual chains the loop's rates without building a series:
+    the log of the series' last chained level, bit for bit, or the same
+    error."""
+
+    def assert_log_of_chained_level(self, loop):
+        for method in ALL_METHODS:
+            # Separate panels, so that neither call reads the other's rates.
+            got = outcome(circularity_residual, fresh(loop), method)
+            assert repr(got) == repr(
+                outcome(log_of_chained_level, fresh(loop), method))
+
+    @given(panels())
+    def test_drawn_loops(self, panel):
+        self.assert_log_of_chained_level(out_and_back(panel))
+
+    @given(wide_panels())
+    def test_drawn_loops_with_errors(self, panel):
+        self.assert_log_of_chained_level(out_and_back(panel))
+
+    def test_island_loop(self):
+        loop = island_loop()
+        self.assert_log_of_chained_level(loop)
+        # The abstract's thesis on the repo's own islands: no index, not
+        # even a superlative one, closes the loop.
+        assert [repr(circularity_residual(loop, method))
+                for method in ALL_METHODS] == [
+            "1.3297830958653465", "1.3212942536883283",
+            "1.325538674776838", "1.3293885937025538"]
