@@ -35,12 +35,17 @@ def _require_finite(**values: float) -> None:
 def _capital_factor(elasticity: float, gross_return: float) -> float:
     """((1-lam)/gross_return)^(1/lam), the capital per labor at T = 1."""
     try:
-        return ((1.0 - elasticity) / gross_return) ** (1.0 / elasticity)
+        # The base or the exponent is itself inf when gross_return or lam is
+        # subnormal, and then the power is inf with no OverflowError.
+        kappa = ((1.0 - elasticity) / gross_return) ** (1.0 / elasticity)
     except OverflowError:
+        kappa = math.inf
+    if kappa == math.inf:
         raise ValidationError(
             f"capital per labor ((1-lam)/gr)^(1/lam) overflows at "
             f"lam = {elasticity!r}, gr = {gross_return!r}"
-        ) from None
+        )
+    return kappa
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,8 @@ from .indexes import (
     GrowthSeries,
     IndexMethod,
     PricedPanel,
+    _NOMINAL,
+    _cached_inflation,
     _check_step,
     _deflator_inflation,
     _finite_growth,
@@ -135,7 +137,16 @@ def perspective_report(
     panel: PricedPanel, step: int, method: IndexMethod = IndexMethod.LASPEYRES
 ) -> GapReport:
     """Decompose one growth step into the national view (real + inflation)
-    and the international view (nominal convergence in the shared unit)."""
+    and the international view (nominal convergence in the shared unit).
+
+    Read from the panel's kept real, inflation and nominal columns; where
+    the inflation column is None, step by step, so that the step's first
+    fault raises."""
+    column = _cached_inflation(panel, method)
+    if column is not None and 0 <= step < len(column):
+        rates = panel._rates
+        return GapReport(rates[method][step], column[step],
+                         rates[_NOMINAL][step], method)
     g_real = real_growth(panel, step, method)
     g_nom = nominal_growth(panel, step)
     return GapReport(
@@ -199,14 +210,21 @@ def model_catchup(
     for i, (vs, vb) in enumerate(zip(v_small, v_big)):
         if vs >= vb:
             crossing_year = small.period_labels[i]
-            if i == 0:
-                fractional_year = float(crossing_year)
-            else:
-                gap_prev = v_big[i - 1] - v_small[i - 1]
-                gap_now = v_big[i] - v_small[i]
-                frac = gap_prev / (gap_prev - gap_now)
-                year_prev = small.period_labels[i - 1]
-                fractional_year = year_prev + frac * (crossing_year - year_prev)
+            try:
+                if i == 0:
+                    fractional_year = float(crossing_year)
+                else:
+                    gap_prev = v_big[i - 1] - v_small[i - 1]
+                    gap_now = v_big[i] - v_small[i]
+                    frac = gap_prev / (gap_prev - gap_now)
+                    year_prev = small.period_labels[i - 1]
+                    fractional_year = (
+                        year_prev + frac * (crossing_year - year_prev))
+            except OverflowError:  # a label beyond the float range
+                raise ValidationError(
+                    f"the crossing at period {i} has no fractional year: "
+                    "a period label is beyond the float range"
+                ) from None
             break
     return CatchupResult(
         rule=reference_rule,

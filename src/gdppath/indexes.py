@@ -31,6 +31,10 @@ class IndexMethod(Enum):
     FISHER = "fisher"
     TORNQVIST = "tornqvist"
 
+    # Members are singletons, so identity hashes them: a dict keyed by
+    # method is read with no Python-level ``Enum.__hash__`` call.
+    __hash__ = object.__hash__
+
 
 def _entry_problem(qty: float, price: float) -> str:
     """What is wrong with a (quantity, price) entry that fails the panel
@@ -119,6 +123,13 @@ class PricedPanel:
         one entry per ``IndexMethod``, and one under ``_NOMINAL`` for
         nominal growth.  An entry is None where that loop cannot vouch for
         every step."""
+        return {}
+
+    @cached_property
+    def _inflations(self) -> dict:
+        """Deflator-inflation columns from ``_inflation_rates``, filled on
+        first use: one entry per ``IndexMethod``, None where that column
+        cannot vouch for every step."""
         return {}
 
     def quantities(self, i: int) -> tuple[float, ...]:
@@ -311,6 +322,9 @@ def real_growth(panel: PricedPanel, step: int, method: IndexMethod) -> float:
 
 def inflation(panel: PricedPanel, step: int, method: IndexMethod) -> float:
     """Deflator-implied inflation: (1 + nominal) / (1 + real) - 1."""
+    column = _cached_inflation(panel, method)
+    if column is not None and 0 <= step < len(column):
+        return column[step]
     g_nom = nominal_growth(panel, step)
     return _deflator_inflation(g_nom, real_growth(panel, step, method), step)
 
@@ -388,6 +402,36 @@ def _cached_rates(panel: PricedPanel, key):
     except KeyError:
         rates = cache[key] = _table_rates(panel, key)
         return rates
+
+
+def _cached_inflation(panel: PricedPanel, method):
+    """``_inflation_rates(panel, method)``, computed once per panel and
+    method."""
+    cache = panel._inflations
+    try:
+        return cache[method]
+    except KeyError:
+        column = cache[method] = _inflation_rates(panel, method)
+        return column
+
+
+def _inflation_rates(panel: PricedPanel, method):
+    """Every step's deflator inflation under ``method`` as a tuple, from the
+    panel's kept real and nominal rates by ``_deflator_inflation``'s
+    expression; None when either is None, some real factor is 0 or some
+    inflation is not finite."""
+    real = _cached_rates(panel, method)
+    nominal = _cached_rates(panel, _NOMINAL)
+    if real is None or nominal is None:
+        return None
+    factors = [1.0 + g_real for g_real in real]
+    if 0.0 in factors:
+        return None
+    rates = [(1.0 + g_nom) / factor - 1.0
+             for g_nom, factor in zip(nominal, factors)]
+    # Each rate is at least -1, so only an infinite one, or finite ones
+    # whose sum overflows, make the sum not finite.
+    return tuple(rates) if sum(rates) < math.inf else None
 
 
 def _table_rates(panel: PricedPanel, method):

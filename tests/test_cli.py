@@ -377,6 +377,36 @@ class TestExitCodes:
             f"international_growth = {rate}",
         ]
 
+    @pytest.mark.parametrize("small", ["2,1,2,1\n2,1,2,1\n",
+                                       "1,1,1,1\n3,1,3,1\n"],
+                             ids=["period-0", "period-1"])
+    def test_catchup_label_beyond_float_range_exit_2(self, tmp_path, capsys,
+                                                     small):
+        small_csv, big_csv = tmp_path / "small.csv", tmp_path / "big.csv"
+        small_csv.write_text(small)
+        big_csv.write_text("2,1,2,1\n2,1,2,1\n")
+        code, out, err = run(capsys, "catchup", "--small", str(small_csv),
+                             "--big", str(big_csv),
+                             "--start-year", str(10**400))
+        assert (code, out) == (2, "")
+        period = 0 if small.startswith("2") else 1
+        assert err == (f"data error: the crossing at period {period} has no "
+                       "fractional year: a period label is beyond the float "
+                       "range\n")
+
+    @pytest.mark.parametrize("config, message", [
+        ("lambda_A = 5e-324\n", "lam = 5e-324, gr = 0.11"),
+        ("R_c = 5e-324\ndelta = 0\n", "lam = 0.6666666666666666, gr = 5e-324"),
+    ], ids=["subnormal-lam", "subnormal-gross-return"])
+    def test_infinite_capital_factor_exit_2(self, tmp_path, capsys, config,
+                                            message):
+        cfg = tmp_path / "island.cfg"
+        cfg.write_text(config)
+        code, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == ("data error: sector A: capital per labor "
+                       f"((1-lam)/gr)^(1/lam) overflows at {message}\n")
+
     def test_path_integral_overflow_exit_2(self, tmp_path, capsys):
         # The first leg's term is -inf and the second's +inf: the sum is nan.
         panel = tmp_path / "path.csv"

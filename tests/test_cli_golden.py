@@ -90,6 +90,10 @@ CASES = {
     "path_integral": "path-integral --panel path.csv",
     "gap": "gap --panel china.csv --start-year 2015",
     "gap_step_method": "gap --panel north.csv --step 40 --method paasche",
+    "gap_last_step_fisher": "gap --panel north.csv --step 97 "
+                            "--method fisher",
+    "gap_last_step_tornqvist": "gap --panel north.csv --step 97 "
+                               "--method tornqvist",
     "catchup_naive": "catchup --naive 11 18 0.06 0.03",
     "catchup_common_prices": "catchup --small small.csv --big big.csv",
     "catchup_own_nominal": "catchup --small small.csv --big big.csv "

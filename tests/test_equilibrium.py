@@ -57,6 +57,13 @@ class TestCapitalPerLabor:
         with pytest.raises(ValidationError, match="overflows"):
             solve_capital_per_labor(1.0, 0.001, GR)
 
+    def test_subnormal_elasticity_overflow_refused(self):
+        # 1/lam is already inf, so the power is inf with no OverflowError.
+        with pytest.raises(ValidationError, match=(
+                r"^capital per labor \(\(1-lam\)/gr\)\^\(1/lam\) overflows "
+                r"at lam = 5e-324, gr = 0.11$")):
+            solve_capital_per_labor(1.0, 5e-324, GR)
+
     def test_overflowing_capital_refused(self):
         # T * ((1-lam)/gr)^(1/lam) = 1e308 * 2500 is beyond the float range.
         with pytest.raises(ValidationError) as info:
@@ -766,6 +773,26 @@ class TestSpecValidation:
     def test_rejects_out_of_range_parameter(self, spec, field, value, message):
         with pytest.raises(ValidationError, match=message):
             dataclasses.replace(spec, **{field: value})
+
+    @pytest.mark.parametrize("lam, rate, delta, gr", [
+        (5e-324, 0.055, 0.055, "0.11"),  # 1/lam is inf
+        (LAM, 5e-324, 0.0, "5e-324"),  # (1-lam)/gr is inf
+    ], ids=["subnormal-lam", "subnormal-gross-return"])
+    def test_infinite_capital_factor_refused(self, lam, rate, delta, gr):
+        # The power is inf with no OverflowError: kappa = c = inf would
+        # only fail later, as an output that overflows.
+        with pytest.raises(ValidationError) as info:
+            EconomySpec(
+                sectors=(SectorParams("A", lam, delta),
+                         SectorParams("B", LAM, delta)),
+                total_labor=100.0,
+                rate_of_return=rate,
+                subsistence=0.0,
+                omega=1.0,
+            )
+        assert str(info.value) == (
+            "sector A: capital per labor ((1-lam)/gr)^(1/lam) overflows at "
+            f"lam = {lam!r}, gr = {gr}")
 
     @pytest.mark.parametrize("bad", [0, 1])
     def test_overflowing_capital_names_sector(self, bad):

@@ -232,6 +232,29 @@ class TestModelCatchup:
                 "^small economy's valuation at period 1 is not finite$")):
             model_catchup(small, big, reference_rule=rule)
 
+    @pytest.mark.parametrize("start", [10**400, -10**400, 2**1024 - 1],
+                             ids=["10**400", "-10**400", "2**1024-1"])
+    @pytest.mark.parametrize("small_values, period", [
+        ([3.0, 3.0], 0),  # crosses at once: the label itself
+        ([1.0, 4.0], 1),  # interpolated from the label before
+    ], ids=["period-0", "period-1"])
+    def test_label_beyond_float_range_refused(self, start, small_values,
+                                              period):
+        small = one_sector_panel(small_values, start=start)
+        big = one_sector_panel([3.0, 3.0], start=start)
+        with pytest.raises(ValidationError, match=(
+                f"^the crossing at period {period} has no fractional year: "
+                "a period label is beyond the float range$")):
+            model_catchup(small, big)
+
+    def test_largest_float_label_still_crosses(self):
+        start = int(1.7976931348623157e308) - 1
+        small = one_sector_panel([1.0, 4.0], start=start)
+        big = one_sector_panel([3.0, 3.0], start=start)
+        result = model_catchup(small, big)
+        assert result.crossing_year == start + 1
+        assert result.fractional_year == 1.7976931348623157e308
+
     def test_mismatched_horizons_rejected(self, china_panel):
         other = one_sector_panel([1.0, 2.0, 3.0], start=2015)
         with pytest.raises(ValidationError):

@@ -1,5 +1,7 @@
 import collections
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -1050,7 +1052,8 @@ def step_oracle_growth_series(panel, method=IndexMethod.LASPEYRES,
 def step_by_step(panel):
     """An equal panel on which the per-step API computes each step alone,
     as it did before the whole-series rates were kept: every entry of its
-    rate cache reads None, so no call uses a whole-series loop."""
+    rate cache reads None, so no call uses a whole-series loop, and every
+    inflation column, taken from those rates, is None too."""
     twin = fresh(panel)
     vars(twin)["_rates"] = collections.defaultdict(lambda: None)
     return twin
@@ -1247,3 +1250,121 @@ class TestResidualFromRates:
                 for method in ALL_METHODS] == [
             "1.3297830958653465", "1.3212942536883283",
             "1.325538674776838", "1.3293885937025538"]
+
+
+# One sector whose output falls by 1e-20 in mid-panel: every index reads a
+# real growth of exactly -1 there although every base is positive, so each
+# method's real column is kept and its inflation column is refused.
+COLLAPSE = [((1.0, 1.0),), ((2.0, 1.5),), ((2e-20, 2.0),), ((3.0, 1.0),)]
+# Prices from 1e-300 to 1e300 over a fixed quantity: real growth is 0 and
+# nominal growth overflows, so the nominal column is refused.
+NOMINAL_OVERFLOW = [((1.0, 0.5e-300),), ((1.0, 1e-300),), ((1.0, 1e300),),
+                    ((2.0, 1e300),)]
+
+
+class TestKeptColumns:
+    """``inflation`` and ``perspective_report`` read each step from the
+    kept real, inflation and nominal columns, bit for bit as the
+    step-by-step path, or with the same error."""
+
+    def assert_same_as_step_by_step(self, panel):
+        steps = range(-1, panel.n_periods)  # one out of range at each end
+
+        def outcomes(fn, panel, method):
+            return [repr(outcome(fn, panel, step, method)) for step in steps]
+
+        old = step_by_step(panel)
+        for method in ALL_METHODS:
+            for fn in (inflation, perspective_report):
+                # The first call on a fresh panel builds its columns.
+                assert outcomes(fn, fresh(panel), method) == outcomes(
+                    fn, old, method)
+        new = fresh(panel)
+        for step in steps:
+            for method in ALL_METHODS:
+                for fn in (inflation, perspective_report):
+                    assert repr(outcome(fn, new, step, method)) == repr(
+                        outcome(fn, old, step, method))
+
+    @given(wide_panels())
+    def test_matches_step_by_step(self, panel):
+        self.assert_same_as_step_by_step(panel)
+
+    @given(overflowing_panels())
+    def test_matches_step_by_step_with_scaled_steps(self, panel):
+        self.assert_same_as_step_by_step(panel)
+
+    def test_island_panel(self):
+        self.assert_same_as_step_by_step(
+            generate_panel(island_scenario("north")))
+
+    def test_collapse_refuses_only_the_inflation_column(self):
+        panel = panel_of(COLLAPSE)
+        self.assert_same_as_step_by_step(panel)
+        for method in ALL_METHODS:
+            assert real_growth(panel, 1, method) == -1.0
+            with pytest.raises(DegenerateBaseError,
+                               match="^real output falls to zero at period "
+                                     "2: inflation is undefined$"):
+                perspective_report(panel, 1, method)
+            # Every other step still answers, from the kept real column.
+            for step in (0, 2):
+                report = perspective_report(panel, step, method)
+                assert inflation(panel, step, method) == (
+                    report.national_inflation)
+            assert panel._rates[method] is not None
+            assert panel._inflations[method] is None
+
+    def test_refused_nominal_column(self):
+        panel = panel_of(NOMINAL_OVERFLOW)
+        self.assert_same_as_step_by_step(panel)
+        for method in ALL_METHODS:
+            assert inflation(panel, 0, method) == 1.0
+            with pytest.raises(DegenerateBaseError,
+                               match="^growth from period 1 to 2 is not "):
+                inflation(panel, 1, method)
+            assert perspective_report(panel, 2, method).national_inflation == (
+                0.0)
+            assert panel._rates[method] == (0.0, 0.0, 1.0)
+            assert panel._inflations[method] is None
+
+    def test_one_column_pass_per_panel_and_method(self, monkeypatch):
+        builds = []
+        inflation_rates = indexes._inflation_rates
+
+        def counting_inflation_rates(panel, method):
+            builds.append(method)
+            return inflation_rates(panel, method)
+
+        monkeypatch.setattr(indexes, "_inflation_rates",
+                            counting_inflation_rates)
+        panel = fresh(long_panel(n_periods=30))
+        for method in ALL_METHODS:
+            for step in range(panel.n_periods - 1):
+                inflation(panel, step, method)
+                perspective_report(panel, step, method)
+        assert builds == ALL_METHODS
+        assert all(len(panel._inflations[method]) == panel.n_periods - 1
+                   for method in ALL_METHODS)
+
+    @pytest.mark.parametrize("method", ["fisher", None])
+    def test_method_that_is_not_an_index_method(self, method):
+        panel = long_panel(n_periods=5)
+        message = f"^unknown index method {method!r}$"
+        for kept in (False, True):
+            if kept:  # every column kept under every real method
+                for real in ALL_METHODS:
+                    perspective_report(panel, 0, real)
+            for fn in (real_growth, inflation, perspective_report):
+                with pytest.raises(ValidationError, match=message):
+                    fn(panel, 2, method)
+            with pytest.raises(ValidationError, match=message):
+                growth_series(panel, method)
+
+    def test_index_methods_hash_by_identity(self):
+        assert IndexMethod.__hash__ is object.__hash__
+        for method in ALL_METHODS:
+            assert IndexMethod(method.value) is method
+            assert pickle.loads(pickle.dumps(method)) is method
+            assert copy.deepcopy(method) is method
+            assert {method: 1}[IndexMethod(method.value)] == 1
