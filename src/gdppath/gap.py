@@ -13,21 +13,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateBaseError, NoSolutionError, ValidationError
+from .errors import (
+    DegenerateBaseError,
+    ModelError,
+    NoSolutionError,
+    ValidationError,
+)
 from .indexes import (
     GrowthSeries,
     IndexMethod,
     PricedPanel,
     _NOMINAL,
-    _cached_inflation,
-    _check_step,
-    _deflator_inflation,
-    _finite_growth,
+    _every_rate,
     _own_price_value,
+    _rate,
+    _ratio_rates,
     _series,
-    _step_growth,
     _step_table,
-    nominal_growth,
+    _table_rates,
+    inflation,
     real_growth,
 )
 
@@ -111,11 +115,11 @@ def common_price_valuations(
 
 
 def _first_laspeyres_growth(panel: PricedPanel) -> float:
-    """``real_growth(panel, 0, LASPEYRES)`` from the first step alone, with
-    no step table built for the rest of the panel."""
-    _check_step(panel, 0)
-    entry = _step_table(panel.periods[:2])[0]
-    return _step_growth(entry, IndexMethod.LASPEYRES, 0)
+    """``real_growth(panel, 0, LASPEYRES)``: the Laspeyres rule over the
+    step table of the first two periods alone, with no table built for the
+    rest of the panel."""
+    steps = _step_table(panel.periods[:2])
+    return _rate(_table_rates(steps, IndexMethod.LASPEYRES), 0)
 
 
 def common_price_growth(
@@ -125,12 +129,8 @@ def common_price_growth(
     observer's metric.  Each rate is the ratio of two periods' valuations,
     so the series has no index method."""
     values = common_price_valuations(panel, reference_prices)
-    rates = []
-    for step, (v0, v1) in enumerate(zip(values, values[1:])):
-        if v0 <= 0.0:
-            raise DegenerateBaseError(f"zero valuation at period {step}")
-        rates.append(_finite_growth(v1 / v0 - 1.0, step))
-    return _series(panel, rates, geometric_average=False)
+    rates = _ratio_rates(zip(values[1:], values), 0, 1, "zero valuation")
+    return _series(panel, _every_rate(rates), geometric_average=False)
 
 
 def perspective_report(
@@ -139,22 +139,19 @@ def perspective_report(
     """Decompose one growth step into the national view (real + inflation)
     and the international view (nominal convergence in the shared unit).
 
-    Read from the panel's kept real, inflation and nominal columns; where
-    the inflation column is None, step by step, so that the step's first
-    fault raises."""
-    column = _cached_inflation(panel, method)
-    if column is not None and 0 <= step < len(column):
+    Read from the panel's kept real, inflation and nominal columns."""
+    column = panel._inflations[method]
+    if 0 <= step < len(column) and (
+            (g_inf := column[step]).__class__ is float
+            or not isinstance(g_inf, ModelError)):
         rates = panel._rates
-        return GapReport(rates[method][step], column[step],
-                         rates[_NOMINAL][step], method)
-    g_real = real_growth(panel, step, method)
-    g_nom = nominal_growth(panel, step)
-    return GapReport(
-        national_real_growth=g_real,
-        national_inflation=_deflator_inflation(g_nom, g_real, step),
-        international_growth=g_nom,
-        method=method,
-    )
+        return GapReport(rates[method][step], g_inf, rates[_NOMINAL][step],
+                         method)
+    # A step out of range, or one that fails: one of these two raises, the
+    # step's real growth error first, else its inflation error, which holds
+    # the step's nominal growth error ahead of its own.
+    real_growth(panel, step, method)
+    inflation(panel, step, method)
 
 
 def model_catchup(
@@ -216,6 +213,10 @@ def model_catchup(
                 else:
                     gap_prev = v_big[i - 1] - v_small[i - 1]
                     gap_now = v_big[i] - v_small[i]
+                    if gap_prev - gap_now == math.inf:
+                        # Gaps near the float maximum: halved, exactly,
+                        # their difference is finite.
+                        gap_prev, gap_now = gap_prev / 2.0, gap_now / 2.0
                     frac = gap_prev / (gap_prev - gap_now)
                     year_prev = small.period_labels[i - 1]
                     fractional_year = (

@@ -13,13 +13,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, count
 from operator import le, mul
 
 from .errors import (
     DegenerateBaseError,
     InsufficientDataError,
     MethodDomainError,
+    ModelError,
     NotALoopError,
     ValidationError,
 )
@@ -51,6 +52,21 @@ def _entry_problem(qty: float, price: float) -> str:
 def _check_labels(labels) -> None:
     if any(map(le, labels[1:], labels)):
         raise ValidationError("period labels must be strictly increasing")
+
+
+class _Kept(dict):
+    """Columns kept on a panel by key, each built on first use as
+    ``build(source, key)``.  ``source`` is the panel's step table or its
+    kept rates, never the panel, so that no cycle keeps a panel alive."""
+
+    def __init__(self, build, source) -> None:
+        super().__init__()
+        self.build = build
+        self.source = source
+
+    def __missing__(self, key):
+        column = self[key] = self.build(self.source, key)
+        return column
 
 
 @dataclass(frozen=True)
@@ -118,19 +134,17 @@ class PricedPanel:
         return tuple(_step_table(self.periods))
 
     @cached_property
-    def _rates(self) -> dict:
-        """Whole-series rates from ``_table_rates``, filled on first use:
-        one entry per ``IndexMethod``, and one under ``_NOMINAL`` for
-        nominal growth.  An entry is None where that loop cannot vouch for
-        every step."""
-        return {}
+    def _rates(self) -> _Kept:
+        """Real-growth columns by index method, and nominal growth's under
+        ``_NOMINAL``, each built by ``_table_rates`` on first use: every
+        step's rate or its error."""
+        return _Kept(_table_rates, self._steps)
 
     @cached_property
-    def _inflations(self) -> dict:
-        """Deflator-inflation columns from ``_inflation_rates``, filled on
-        first use: one entry per ``IndexMethod``, None where that column
-        cannot vouch for every step."""
-        return {}
+    def _inflations(self) -> _Kept:
+        """Deflator-inflation columns by index method, each built by
+        ``_inflation_rates`` on first use."""
+        return _Kept(_inflation_rates, self._rates)
 
     def quantities(self, i: int) -> tuple[float, ...]:
         return tuple(q for q, _ in self.periods[i])
@@ -155,13 +169,6 @@ class GrowthSeries:
     step_labels: tuple[int, ...]  # label of the later period of each step
 
 
-def _check_step(panel: PricedPanel, step: int) -> None:
-    if not 0 <= step < panel.n_periods - 1:
-        raise ValidationError(
-            f"step {step} out of range for {panel.n_periods} periods"
-        )
-
-
 def nominal_gdp(panel: PricedPanel, period: int) -> float:
     """Sum of price * quantity over sectors at the period's own prices."""
     if not 0 <= period < panel.n_periods:
@@ -183,24 +190,7 @@ def _own_price_value(period) -> float:
 
 def nominal_growth(panel: PricedPanel, step: int) -> float:
     """GDP_{i+1} / GDP_i - 1 at each period's own prices."""
-    rates = _cached_rates(panel, _NOMINAL)
-    if rates is not None and 0 <= step < len(rates):
-        return rates[step]
-    _check_step(panel, step)
-    _, _, base, _, _, gdp1 = panel._steps[step]
-    if base <= 0.0:
-        raise DegenerateBaseError(f"zero nominal GDP at period {step}")
-    return _finite_growth(gdp1 / base - 1.0, step)
-
-
-def _finite_growth(growth: float, step: int) -> float:
-    """``growth`` unless its ratio overflowed (inf, or nan from inf / inf),
-    as a positive base too close to zero makes it do."""
-    if not growth < math.inf:
-        raise DegenerateBaseError(
-            f"growth from period {step} to {step + 1} is not finite"
-        )
-    return growth
+    return _rate(panel._rates[_NOMINAL], step)
 
 
 def _step_table(periods) -> list[tuple]:
@@ -251,59 +241,112 @@ def _scaled_step(period0, period1):
     )
 
 
-def _step_growth(entry, method: IndexMethod, step: int) -> float:
-    """Quantity growth over one entry of ``PricedPanel._steps``; ``step``
-    only names the earlier period in error messages."""
-    period0, period1, v00, v01, v10, v11 = entry
-    if method is IndexMethod.TORNQVIST:
-        if any(q <= 0.0 for period in (period0, period1) for q, _ in period):
-            raise MethodDomainError(
-                "Tornqvist requires strictly positive quantities"
-            )
-        return _tornqvist_growth(entry, step)
-    if method is IndexMethod.LASPEYRES:
-        if v00 <= 0.0:
-            raise DegenerateBaseError(f"zero base value at period {step}")
-        return _finite_growth(v01 / v00 - 1.0, step)
-    if method is IndexMethod.PAASCHE:
-        if v10 <= 0.0:
-            raise DegenerateBaseError(f"zero base value at period {step}")
-        return _finite_growth(v11 / v10 - 1.0, step)
-    if method is IndexMethod.FISHER:
-        if v00 <= 0.0 or v10 <= 0.0:
-            raise DegenerateBaseError(f"zero base value at period {step}")
-        g_l = v01 / v00 - 1.0
-        g_p = v11 / v10 - 1.0
-        root = math.sqrt((1.0 + g_l) * (1.0 + g_p))
-        if root == math.inf:  # the product overflowed; its root may not
-            root = math.sqrt(1.0 + g_l) * math.sqrt(1.0 + g_p)
-        return _finite_growth(root - 1.0, step)
-    raise ValidationError(f"unknown index method {method!r}")
+def _fresh(error: ModelError) -> ModelError:
+    """A new error of ``error``'s type and message.  A kept error is never
+    raised itself: each raise would lengthen its traceback."""
+    return error.__class__(*error.args)
 
 
-def _tornqvist_growth(entry, step: int) -> float:
-    """Tornqvist growth over one entry of ``PricedPanel._steps`` whose
-    quantities are all positive."""
+def _rate(column: tuple, step: int) -> float:
+    """Entry ``step`` of a kept column: the step's rate, or its error raised
+    afresh.  A column has one entry per step of its panel.
+
+    A rate is a float, or a float subclass such as ``numpy.float64`` where
+    the panel's entries are one: wherever a column's entries are told
+    apart, ``__class__ is float`` decides the common case and ``isinstance``
+    of ``ModelError`` the rest."""
+    if not 0 <= step < len(column):
+        raise ValidationError(
+            f"step {step} out of range for {len(column) + 1} periods")
+    rate = column[step]
+    if rate.__class__ is float or not isinstance(rate, ModelError):
+        return rate
+    raise _fresh(rate)
+
+
+def _every_rate(column: tuple) -> tuple:
+    """``column``, unless one of its steps fails: then the first failing
+    step's error, raised afresh."""
+    for rate in column:
+        if rate.__class__ is not float and isinstance(rate, ModelError):
+            raise _fresh(rate)
+    return column
+
+
+def _not_finite(step: int) -> DegenerateBaseError:
+    """The error of growth that is not finite: inf, or nan from inf / inf,
+    as a ratio over a positive base too close to zero gives."""
+    return DegenerateBaseError(
+        f"growth from period {step} to {step + 1} is not finite")
+
+
+def _ratio_rates(rows, value: int, base: int, zero_base: str) -> tuple:
+    """Each step's growth ``row[value] / row[base] - 1`` over its row of
+    ``rows``, or its error: ``zero_base`` at the step's period where the
+    base is not positive, else growth that is not finite.  Nominal growth,
+    Laspeyres, Paasche and common-price growth are this rule."""
+    inf = math.inf
+    return tuple([
+        rate if (v0 := row[base]) > 0.0
+        and (rate := row[value] / v0 - 1.0) < inf
+        else _not_finite(step) if v0 > 0.0
+        else DegenerateBaseError(f"{zero_base} at period {step}")
+        for step, row in enumerate(rows)
+    ])
+
+
+def _fisher_growth(entry, step: int):
+    """Fisher growth over one entry of ``PricedPanel._steps``, or its
+    error: the geometric mean of Laspeyres and Paasche growth."""
+    _, _, v00, v01, v10, v11 = entry
+    if v00 <= 0.0 or v10 <= 0.0:
+        return DegenerateBaseError(f"zero base value at period {step}")
+    g_l = v01 / v00 - 1.0
+    g_p = v11 / v10 - 1.0
+    root = math.sqrt((1.0 + g_l) * (1.0 + g_p))
+    if root == math.inf:  # the product overflowed; its root may not
+        root = math.sqrt(1.0 + g_l) * math.sqrt(1.0 + g_p)
+    growth = root - 1.0
+    return growth if growth < math.inf else _not_finite(step)
+
+
+def _tornqvist_growth(entry, step: int):
+    """Tornqvist growth over one entry of ``PricedPanel._steps``, or its
+    error: log quantity changes weighted by mean expenditure shares."""
     period0, period1, v00, _, _, v11 = entry
-    # Subnormal quantities can make a period's value or a quantity ratio
-    # round to zero although every quantity is positive.
-    if v00 <= 0.0 or v11 <= 0.0:
-        period = step if v00 <= 0.0 else step + 1
-        raise DegenerateBaseError(f"zero nominal GDP at period {period}")
+    # Each fault is found by a comparison, never by a division by zero,
+    # which raises for a float but not for a float subclass like
+    # ``numpy.float64``.
+    if not (v00 > 0.0 and v11 > 0.0):
+        return _tornqvist_fault(entry, step)
     log_index = 0.0
     for (q0, p0), (q1, p1) in zip(period0, period1):
+        if not (q0 > 0.0 and (ratio := q1 / q0) > 0.0):
+            return _tornqvist_fault(entry, step)
         share = 0.5 * (p0 * q0 / v00 + p1 * q1 / v11)
-        ratio = q1 / q0
-        if ratio == 0.0:
-            raise MethodDomainError(
-                f"Tornqvist quantity ratio underflows to 0 at period {step}"
-            )
         log_index += share * math.log(ratio)
     try:
-        factor = math.exp(log_index)
+        growth = math.exp(log_index) - 1.0
     except OverflowError:  # the log index rounds above ln(DBL_MAX)
-        factor = math.inf
-    return _finite_growth(factor - 1.0, step)
+        growth = math.inf
+    return growth if growth < math.inf else _not_finite(step)
+
+
+def _tornqvist_fault(entry, step: int) -> ModelError:
+    """The error of a Tornqvist step with a value, a quantity or a quantity
+    ratio that is zero, found in this order: a quantity that is not
+    positive, a period's value that is zero, a quantity ratio that
+    underflows to zero.  Subnormal quantities can make the last two happen
+    although every quantity is positive."""
+    period0, period1, v00, _, _, v11 = entry
+    if any(q <= 0.0 for period in (period0, period1) for q, _ in period):
+        return MethodDomainError(
+            "Tornqvist requires strictly positive quantities")
+    if v00 <= 0.0 or v11 <= 0.0:
+        period = step if v00 <= 0.0 else step + 1
+        return DegenerateBaseError(f"zero nominal GDP at period {period}")
+    return MethodDomainError(
+        f"Tornqvist quantity ratio underflows to 0 at period {step}")
 
 
 def real_growth(panel: PricedPanel, step: int, method: IndexMethod) -> float:
@@ -313,30 +356,12 @@ def real_growth(panel: PricedPanel, step: int, method: IndexMethod) -> float:
     the later period's, Fisher is their geometric mean, and Tornqvist weights
     log quantity changes by mean expenditure shares.
     """
-    rates = _cached_rates(panel, method)
-    if rates is not None and 0 <= step < len(rates):
-        return rates[step]
-    _check_step(panel, step)
-    return _step_growth(panel._steps[step], method, step)
+    return _rate(panel._rates[method], step)
 
 
 def inflation(panel: PricedPanel, step: int, method: IndexMethod) -> float:
     """Deflator-implied inflation: (1 + nominal) / (1 + real) - 1."""
-    column = _cached_inflation(panel, method)
-    if column is not None and 0 <= step < len(column):
-        return column[step]
-    g_nom = nominal_growth(panel, step)
-    return _deflator_inflation(g_nom, real_growth(panel, step, method), step)
-
-
-def _deflator_inflation(g_nom: float, g_real: float, step: int) -> float:
-    real_factor = 1.0 + g_real
-    if real_factor == 0.0:
-        raise DegenerateBaseError(
-            f"real output falls to zero at period {step + 1}: "
-            "inflation is undefined"
-        )
-    return _finite_growth((1.0 + g_nom) / real_factor - 1.0, step)
+    return _rate(panel._inflations[method], step)
 
 
 def _series(
@@ -371,117 +396,65 @@ def growth_series(
     chained level and running average (arithmetic unless
     ``geometric_average``).
 
-    The rates come from one loop per method over the step table, kept on
-    the panel for ``real_growth`` to read.  Where that loop cannot vouch
-    for every step, the series is rebuilt step by step with
-    ``_step_growth``, which ``real_growth`` then also uses, so the first
-    failing step raises its own error."""
-    return _series(panel, _series_rates(panel, method), geometric_average)
+    The rates are the panel's kept column under ``method``, which
+    ``real_growth`` also reads; the first failing step raises its
+    error."""
+    rates = _every_rate(panel._rates[method])
+    return _series(panel, rates, geometric_average)
 
 
-def _series_rates(panel: PricedPanel, method: IndexMethod):
-    """Every step's rate under ``method``: the panel's kept rates, else one
-    ``_step_growth`` per step, so that the first failing step raises."""
-    rates = _cached_rates(panel, method)
-    if rates is None:
-        rates = [_step_growth(entry, method, step)
-                 for step, entry in enumerate(panel._steps)]
-    return rates
-
-
-# The key of nominal growth's rates in ``PricedPanel._rates``; no argument
+# The key of nominal growth's column in ``PricedPanel._rates``; no argument
 # of ``real_growth`` is this object.
 _NOMINAL = object()
 
 
-def _cached_rates(panel: PricedPanel, key):
-    """``_table_rates(panel, key)``, computed once per panel and key."""
-    cache = panel._rates
-    try:
-        return cache[key]
-    except KeyError:
-        rates = cache[key] = _table_rates(panel, key)
-        return rates
+def _table_rates(steps, key) -> tuple:
+    """Every step's growth under the index method ``key``, or nominal
+    growth's under ``_NOMINAL``, over the step table ``steps``: each step's
+    rate or its error.  Under any other key every step raises."""
+    if key is _NOMINAL:
+        return _ratio_rates(steps, 5, 2, "zero nominal GDP")
+    if key is IndexMethod.LASPEYRES:
+        return _ratio_rates(steps, 3, 2, "zero base value")
+    if key is IndexMethod.PAASCHE:
+        return _ratio_rates(steps, 5, 4, "zero base value")
+    if key is IndexMethod.FISHER:
+        return tuple(map(_fisher_growth, steps, count()))
+    if key is IndexMethod.TORNQVIST:
+        return tuple(map(_tornqvist_growth, steps, count()))
+    return (ValidationError(f"unknown index method {key!r}"),) * len(steps)
 
 
-def _cached_inflation(panel: PricedPanel, method):
-    """``_inflation_rates(panel, method)``, computed once per panel and
-    method."""
-    cache = panel._inflations
-    try:
-        return cache[method]
-    except KeyError:
-        column = cache[method] = _inflation_rates(panel, method)
-        return column
+def _inflation_rates(rates: _Kept, method) -> tuple:
+    """Every step's deflator inflation ``(1 + nominal) / (1 + real) - 1``
+    under ``method``, from a panel's kept nominal and real columns
+    ``rates``, or the step's error (see ``_inflation_fault``)."""
+    inf = math.inf
+    return tuple([
+        rate if (g_nom.__class__ is g_real.__class__ is float
+                 or not isinstance(g_nom, ModelError)
+                 and not isinstance(g_real, ModelError))
+        and 1.0 + g_real != 0.0
+        and (rate := (1.0 + g_nom) / (1.0 + g_real) - 1.0) < inf
+        else _inflation_fault(g_nom, g_real, step)
+        for step, g_nom, g_real in zip(count(), rates[_NOMINAL],
+                                       rates[method])
+    ])
 
 
-def _inflation_rates(panel: PricedPanel, method):
-    """Every step's deflator inflation under ``method`` as a tuple, from the
-    panel's kept real and nominal rates by ``_deflator_inflation``'s
-    expression; None when either is None, some real factor is 0 or some
-    inflation is not finite."""
-    real = _cached_rates(panel, method)
-    nominal = _cached_rates(panel, _NOMINAL)
-    if real is None or nominal is None:
-        return None
-    factors = [1.0 + g_real for g_real in real]
-    if 0.0 in factors:
-        return None
-    rates = [(1.0 + g_nom) / factor - 1.0
-             for g_nom, factor in zip(nominal, factors)]
-    # Each rate is at least -1, so only an infinite one, or finite ones
-    # whose sum overflows, make the sum not finite.
-    return tuple(rates) if sum(rates) < math.inf else None
-
-
-def _table_rates(panel: PricedPanel, method):
-    """Every step's rate under ``method``, or nominal growth's under
-    ``_NOMINAL``, as a tuple; None when some base is not positive, some
-    rate is not finite, or the Tornqvist domain is not known to hold for
-    every step.  It raises no error: a later step's rate may be asked for
-    although an earlier step fails."""
-    steps = panel._steps
-    if method is _NOMINAL:
-        if not all(entry[2] > 0.0 for entry in steps):
-            return None
-        rates = [v11 / v00 - 1.0 for _, _, v00, _, _, v11 in steps]
-    elif method is IndexMethod.TORNQVIST:
-        periods = panel.periods
-        if any(q <= 0.0 for period in periods for q, _ in period):
-            return None
-        # A scaled step holds new periods, whose quantities may have
-        # rounded to zero: its domain is checked step by step.
-        if any(entry[0] is not period
-               for entry, period in zip(steps, periods)):
-            return None
-        try:
-            return tuple([_tornqvist_growth(entry, step)
-                          for step, entry in enumerate(steps)])
-        except (DegenerateBaseError, MethodDomainError):
-            return None
-    elif method is IndexMethod.LASPEYRES:
-        if not all(entry[2] > 0.0 for entry in steps):
-            return None
-        rates = [v01 / v00 - 1.0 for _, _, v00, v01, _, _ in steps]
-    elif method is IndexMethod.PAASCHE:
-        if not all(entry[4] > 0.0 for entry in steps):
-            return None
-        rates = [v11 / v10 - 1.0 for _, _, _, _, v10, v11 in steps]
-    elif method is IndexMethod.FISHER:
-        if not all(entry[2] > 0.0 and entry[4] > 0.0 for entry in steps):
-            return None
-        g_ls = [v01 / v00 - 1.0 for _, _, v00, v01, _, _ in steps]
-        g_ps = [v11 / v10 - 1.0 for _, _, _, _, v10, v11 in steps]
-        # A product that overflows makes the rate infinite here; the
-        # step-by-step path then takes the root of each factor.
-        rates = [math.sqrt((1.0 + g_l) * (1.0 + g_p)) - 1.0
-                 for g_l, g_p in zip(g_ls, g_ps)]
-    else:
-        return None
-    # An infinite or NaN rate makes the sum not finite.  So may finite
-    # rates whose sum overflows; the step-by-step path then gives them
-    # again.
-    return tuple(rates) if sum(rates) < math.inf else None
+def _inflation_fault(g_nom, g_real, step: int) -> ModelError:
+    """The error of a step whose deflator inflation is not a finite rate:
+    its nominal growth's error first, then its real growth's, then real
+    output that falls to zero, else inflation that is not finite."""
+    if isinstance(g_nom, ModelError):
+        return g_nom
+    if isinstance(g_real, ModelError):
+        return g_real
+    if 1.0 + g_real == 0.0:
+        return DegenerateBaseError(
+            f"real output falls to zero at period {step + 1}: "
+            "inflation is undefined")
+    return _not_finite(step)
 
 
 def circularity_residual(
@@ -499,7 +472,8 @@ def circularity_residual(
                     f"sector {name}: endpoints differ ({v0} vs {v1})"
                 )
     # A left fold from 1, as ``growth_series`` chains its level.
-    level = math.prod(1.0 + rate for rate in _series_rates(panel, method))
+    rates = _every_rate(panel._rates[method])
+    level = math.prod(1.0 + rate for rate in rates)
     if not 0.0 < level < math.inf:  # a rate that rounds to -100% gives 0
         raise DegenerateBaseError(
             f"chained level over the loop is {level!r}: no finite log")

@@ -66,6 +66,13 @@ INPUTS = {
                   "end_year = 1910\nomega = 4\n",
     "infeasible.cfg": "N0 = 2.0\n",
     "bad.csv": "1,2,3\n",
+    # Index faults: a zero quantity (outside Tornqvist's domain), output
+    # that falls to zero and comes back, and prices that leap from 1e-300
+    # to 1e300 (nominal growth that is not finite).
+    "zeroq.csv": "1,1,1,1\n2,1,0,2\n3,1,1,2\n4,1,2,2\n",
+    "collapse.csv": "1,1,1,1\n1,1,1,1\n0,1,0,1\n1,1,1,1\n",
+    "price_leap.csv": "1,1e-300,1,1e-300\n1,1e300,1,1e300\n"
+                      "2,1e300,1,1e300\n",
 }
 
 CASES = {
@@ -110,6 +117,13 @@ CASES = {
     "data_bad_row": "growth --panel bad.csv",
     "data_step_out_of_range": "gap --panel china.csv --step 5",
     "infeasible_config": "simulate --config infeasible.cfg",
+    "fault_tornqvist_domain": "growth --panel zeroq.csv --method tornqvist",
+    "fault_tornqvist_healthy_step": "gap --panel zeroq.csv --step 2 "
+                                    "--method tornqvist",
+    "fault_inflation_undefined": "gap --panel collapse.csv --step 1",
+    "fault_zero_base": "gap --panel collapse.csv --step 2",
+    "fault_zero_base_series": "growth --panel collapse.csv --method fisher",
+    "fault_nominal_not_finite": "gap --panel price_leap.csv --step 0",
 }
 
 

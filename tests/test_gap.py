@@ -255,6 +255,26 @@ class TestModelCatchup:
         assert result.crossing_year == start + 1
         assert result.fractional_year == 1.7976931348623157e308
 
+    @pytest.mark.parametrize("rule", ["common-prices", "own-nominal"])
+    @pytest.mark.parametrize("scale", [1.0, 0.1, 0.5])
+    def test_gaps_near_the_float_maximum(self, rule, scale):
+        # The two gaps differ by more than the largest float: unscaled,
+        # their difference overflowed and the fraction read 0.
+        small = one_sector_panel([1.0 * scale, 1.7e308 * scale], start=2000)
+        big = one_sector_panel([1.7e308 * scale, 1.0 * scale], start=2000)
+        result = model_catchup(small, big, reference_rule=rule)
+        assert result.crossing_year == 2001
+        assert result.fractional_year == 2000.5
+
+    def test_finite_gap_difference_keeps_its_bits(self):
+        # Halving is only for a difference that overflows: just below the
+        # float maximum the fraction is the unscaled one.
+        small = one_sector_panel([1.0, 0.6e308], start=2000)
+        big = one_sector_panel([1.1e308, 0.5e308], start=2000)
+        result = model_catchup(small, big)
+        gap_prev, gap_now = 1.1e308 - 1.0, 0.5e308 - 0.6e308
+        assert result.fractional_year == 2000 + gap_prev / (gap_prev - gap_now)
+
     def test_mismatched_horizons_rejected(self, china_panel):
         other = one_sector_panel([1.0, 2.0, 3.0], start=2015)
         with pytest.raises(ValidationError):

@@ -1,4 +1,3 @@
-import collections
 import copy
 import math
 import pickle
@@ -31,13 +30,12 @@ from gdppath import (
 )
 from gdppath import indexes
 from gdppath.gap import GapReport, common_price_growth, common_price_valuations
-from gdppath.indexes import (
-    _check_step,
-    _deflator_inflation,
-    _entry_problem,
-    _finite_growth,
-    _series,
-)
+from gdppath.indexes import _entry_problem, _series
+
+try:
+    import numpy
+except ImportError:  # an optional check: the package does not need numpy
+    numpy = None
 
 ALL_METHODS = list(IndexMethod)
 
@@ -694,9 +692,9 @@ class TestOnePassKernel:
 # The index engine before the step table: every index, inflation and
 # perspective call summed its step's four basket values again.  Its builtin
 # ``sum`` in ``nominal_gdp`` is spelled out as ``left_to_right_sum``, which
-# is what it computes on CPython 3.11.  The helpers the table did not touch
-# (``_check_step``, ``_finite_growth``, ``_deflator_inflation``, ``_series``)
-# are the package's own.
+# is what it computes on CPython 3.11.  ``_series``, which the table did
+# not touch, is the package's own; the step, growth and inflation checks
+# are the frozen per-step ones further below.
 
 
 def table_oracle_step_sums(period0, period1):
@@ -739,16 +737,16 @@ def table_oracle_step_growth(period0, period1, method, step):
                     f"Tornqvist quantity ratio underflows to 0 at period {step}"
                 )
             log_index += share * math.log(ratio)
-        return _finite_growth(math.exp(log_index) - 1.0, step)
+        return frozen_finite_growth(math.exp(log_index) - 1.0, step)
     v00, v01, v10, v11 = table_oracle_step_sums(period0, period1)
     if method is IndexMethod.LASPEYRES:
         if v00 <= 0.0:
             raise DegenerateBaseError(f"zero base value at period {step}")
-        return _finite_growth(v01 / v00 - 1.0, step)
+        return frozen_finite_growth(v01 / v00 - 1.0, step)
     if method is IndexMethod.PAASCHE:
         if v10 <= 0.0:
             raise DegenerateBaseError(f"zero base value at period {step}")
-        return _finite_growth(v11 / v10 - 1.0, step)
+        return frozen_finite_growth(v11 / v10 - 1.0, step)
     if method is IndexMethod.FISHER:
         if v00 <= 0.0 or v10 <= 0.0:
             raise DegenerateBaseError(f"zero base value at period {step}")
@@ -757,19 +755,19 @@ def table_oracle_step_growth(period0, period1, method, step):
         root = math.sqrt((1.0 + g_l) * (1.0 + g_p))
         if root == math.inf:
             root = math.sqrt(1.0 + g_l) * math.sqrt(1.0 + g_p)
-        return _finite_growth(root - 1.0, step)
+        return frozen_finite_growth(root - 1.0, step)
     raise ValidationError(f"unknown index method {method!r}")
 
 
 def table_oracle_real_growth(panel, step, method):
-    _check_step(panel, step)
+    frozen_check_step(panel, step)
     return table_oracle_step_growth(
         panel.periods[step], panel.periods[step + 1], method, step
     )
 
 
 def table_oracle_nominal_growth(panel, step):
-    _check_step(panel, step)
+    frozen_check_step(panel, step)
 
     def gdp(i):
         return left_to_right_sum(q * p for q, p in panel.periods[i])
@@ -777,12 +775,12 @@ def table_oracle_nominal_growth(panel, step):
     base = gdp(step)
     if base <= 0.0:
         raise DegenerateBaseError(f"zero nominal GDP at period {step}")
-    return _finite_growth(gdp(step + 1) / base - 1.0, step)
+    return frozen_finite_growth(gdp(step + 1) / base - 1.0, step)
 
 
 def table_oracle_inflation(panel, step, method):
     g_nom = table_oracle_nominal_growth(panel, step)
-    return _deflator_inflation(
+    return frozen_deflator_inflation(
         g_nom, table_oracle_real_growth(panel, step, method), step)
 
 
@@ -800,7 +798,7 @@ def table_oracle_perspective_report(panel, step, method):
     g_nom = table_oracle_nominal_growth(panel, step)
     return GapReport(
         national_real_growth=g_real,
-        national_inflation=_deflator_inflation(g_nom, g_real, step),
+        national_inflation=frozen_deflator_inflation(g_nom, g_real, step),
         international_growth=g_nom,
         method=method,
     )
@@ -1002,8 +1000,11 @@ class TestOverflowingStep:
             with pytest.raises(DegenerateBaseError,
                                match="^growth from period 0 to 1 is not "):
                 fn(panel, 0, IndexMethod.TORNQVIST)
-        # The table's loop gives the step up to the step-by-step path.
-        assert indexes._table_rates(panel, IndexMethod.TORNQVIST) is None
+        # The whole series raises the same error, read from the same column.
+        with pytest.raises(DegenerateBaseError,
+                           match="^growth from period 0 to 1 is not "):
+            growth_series(panel, IndexMethod.TORNQVIST)
+        assert_same_as_frozen(fresh(panel))
 
     def test_path_integral_overflow(self):
         panel = panel_of([((1e300, 1e10), (1.0, 1.0)),
@@ -1015,10 +1016,120 @@ class TestOverflowingStep:
             path_integral_gdp(panel)
 
 
+# The per-step path as it was before every kept column held each step's
+# rate or error: one step's growth from its entry of the package's step
+# table, raising the step's first fault, and nominal growth and deflator
+# inflation computed step by step.  Frozen here as the reference that the
+# kept columns must match, results and errors alike.
+
+
+def frozen_check_step(panel, step):
+    if not 0 <= step < panel.n_periods - 1:
+        raise ValidationError(
+            f"step {step} out of range for {panel.n_periods} periods"
+        )
+
+
+def frozen_finite_growth(growth, step):
+    if not growth < math.inf:
+        raise DegenerateBaseError(
+            f"growth from period {step} to {step + 1} is not finite"
+        )
+    return growth
+
+
+def frozen_step_growth(entry, method, step):
+    period0, period1, v00, v01, v10, v11 = entry
+    if method is IndexMethod.TORNQVIST:
+        if any(q <= 0.0 for period in (period0, period1) for q, _ in period):
+            raise MethodDomainError(
+                "Tornqvist requires strictly positive quantities"
+            )
+        return frozen_tornqvist_growth(entry, step)
+    if method is IndexMethod.LASPEYRES:
+        if v00 <= 0.0:
+            raise DegenerateBaseError(f"zero base value at period {step}")
+        return frozen_finite_growth(v01 / v00 - 1.0, step)
+    if method is IndexMethod.PAASCHE:
+        if v10 <= 0.0:
+            raise DegenerateBaseError(f"zero base value at period {step}")
+        return frozen_finite_growth(v11 / v10 - 1.0, step)
+    if method is IndexMethod.FISHER:
+        if v00 <= 0.0 or v10 <= 0.0:
+            raise DegenerateBaseError(f"zero base value at period {step}")
+        g_l = v01 / v00 - 1.0
+        g_p = v11 / v10 - 1.0
+        root = math.sqrt((1.0 + g_l) * (1.0 + g_p))
+        if root == math.inf:  # the product overflowed; its root may not
+            root = math.sqrt(1.0 + g_l) * math.sqrt(1.0 + g_p)
+        return frozen_finite_growth(root - 1.0, step)
+    raise ValidationError(f"unknown index method {method!r}")
+
+
+def frozen_tornqvist_growth(entry, step):
+    period0, period1, v00, _, _, v11 = entry
+    if v00 <= 0.0 or v11 <= 0.0:
+        period = step if v00 <= 0.0 else step + 1
+        raise DegenerateBaseError(f"zero nominal GDP at period {period}")
+    log_index = 0.0
+    for (q0, p0), (q1, p1) in zip(period0, period1):
+        share = 0.5 * (p0 * q0 / v00 + p1 * q1 / v11)
+        ratio = q1 / q0
+        if ratio == 0.0:
+            raise MethodDomainError(
+                f"Tornqvist quantity ratio underflows to 0 at period {step}"
+            )
+        log_index += share * math.log(ratio)
+    try:
+        factor = math.exp(log_index)
+    except OverflowError:
+        factor = math.inf
+    return frozen_finite_growth(factor - 1.0, step)
+
+
+def frozen_real_growth(panel, step, method):
+    frozen_check_step(panel, step)
+    return frozen_step_growth(panel._steps[step], method, step)
+
+
+def frozen_nominal_growth(panel, step):
+    frozen_check_step(panel, step)
+    _, _, base, _, _, gdp1 = panel._steps[step]
+    if base <= 0.0:
+        raise DegenerateBaseError(f"zero nominal GDP at period {step}")
+    return frozen_finite_growth(gdp1 / base - 1.0, step)
+
+
+def frozen_deflator_inflation(g_nom, g_real, step):
+    real_factor = 1.0 + g_real
+    if real_factor == 0.0:
+        raise DegenerateBaseError(
+            f"real output falls to zero at period {step + 1}: "
+            "inflation is undefined"
+        )
+    return frozen_finite_growth((1.0 + g_nom) / real_factor - 1.0, step)
+
+
+def frozen_inflation(panel, step, method):
+    g_nom = frozen_nominal_growth(panel, step)
+    return frozen_deflator_inflation(
+        g_nom, frozen_real_growth(panel, step, method), step)
+
+
+def frozen_perspective_report(panel, step, method):
+    g_real = frozen_real_growth(panel, step, method)
+    g_nom = frozen_nominal_growth(panel, step)
+    return GapReport(
+        national_real_growth=g_real,
+        national_inflation=frozen_deflator_inflation(g_nom, g_real, step),
+        international_growth=g_nom,
+        method=method,
+    )
+
+
 # ``_series`` and ``growth_series`` as they were before the whole-series
-# loops: one ``_step_growth`` call per step, and the level and running sum
-# built in one loop.  ``_step_growth`` is the package's own: it is still the
-# per-step definition that ``real_growth`` and the fallback use.
+# loops: one frozen step growth per step, and the level and running sum
+# built in one loop.
 
 
 def step_oracle_series(panel, rates, geometric_average):
@@ -1044,29 +1155,48 @@ def step_oracle_series(panel, rates, geometric_average):
 
 def step_oracle_growth_series(panel, method=IndexMethod.LASPEYRES,
                               geometric_average=False):
-    rates = [indexes._step_growth(entry, method, step)
+    rates = [frozen_step_growth(entry, method, step)
              for step, entry in enumerate(panel._steps)]
     return step_oracle_series(panel, rates, geometric_average)
 
 
-def step_by_step(panel):
-    """An equal panel on which the per-step API computes each step alone,
-    as it did before the whole-series rates were kept: every entry of its
-    rate cache reads None, so no call uses a whole-series loop, and every
-    inflation column, taken from those rates, is None too."""
-    twin = fresh(panel)
-    vars(twin)["_rates"] = collections.defaultdict(lambda: None)
-    return twin
+def frozen_circularity_residual(panel, method=IndexMethod.LASPEYRES):
+    # The endpoint check is unchanged and left out: only loops come here.
+    if panel.n_periods < 2:
+        raise InsufficientDataError("a loop needs at least two periods")
+    rates = [frozen_step_growth(entry, method, step)
+             for step, entry in enumerate(panel._steps)]
+    level = math.prod(1.0 + rate for rate in rates)
+    if not 0.0 < level < math.inf:
+        raise DegenerateBaseError(
+            f"chained level over the loop is {level!r}: no finite log")
+    return math.log(level)
 
 
-def per_step_outcomes(panel, method):
+# Each public per-step and whole-series function next to its frozen
+# reference.
+FROZEN = {
+    real_growth: frozen_real_growth,
+    nominal_growth: frozen_nominal_growth,
+    inflation: frozen_inflation,
+    perspective_report: frozen_perspective_report,
+    growth_series: step_oracle_growth_series,
+    circularity_residual: frozen_circularity_residual,
+}
+
+
+def per_step_outcomes(panel, method, frozen=False):
     """Every step's ``real_growth``, ``nominal_growth``, ``inflation`` and
-    ``perspective_report`` outcome under ``method``."""
+    ``perspective_report`` outcome under ``method``, or their frozen
+    references' outcomes."""
+    def call(fn, *args):
+        return outcome(FROZEN[fn] if frozen else fn, panel, *args)
+
     return [
-        (outcome(real_growth, panel, step, method),
-         outcome(nominal_growth, panel, step),
-         outcome(inflation, panel, step, method),
-         outcome(perspective_report, panel, step, method))
+        (call(real_growth, step, method),
+         call(nominal_growth, step),
+         call(inflation, step, method),
+         call(perspective_report, step, method))
         for step in range(panel.n_periods - 1)
     ]
 
@@ -1125,10 +1255,11 @@ class TestTableLoops:
                 check(panel, method, geometric)
             check(loop, method)
         # The per-step API reads the rates a series keeps on its panel: it
-        # gives the same results and errors on a fresh panel, after a
-        # series of the same method, and after one of another method.
+        # gives the frozen per-step results and errors on a fresh panel,
+        # after a series of the same method, and after one of another
+        # method.
         for i, method in enumerate(ALL_METHODS):
-            expected = repr(per_step_outcomes(step_by_step(panel), method))
+            expected = repr(per_step_outcomes(panel, method, frozen=True))
             assert repr(per_step_outcomes(fresh(panel), method)) == expected
             for other in (method, ALL_METHODS[i - 1]):
                 after = fresh(panel)
@@ -1254,70 +1385,189 @@ class TestResidualFromRates:
 
 # One sector whose output falls by 1e-20 in mid-panel: every index reads a
 # real growth of exactly -1 there although every base is positive, so each
-# method's real column is kept and its inflation column is refused.
+# method's real column answers at that step and its inflation column holds
+# an error.
 COLLAPSE = [((1.0, 1.0),), ((2.0, 1.5),), ((2e-20, 2.0),), ((3.0, 1.0),)]
 # Prices from 1e-300 to 1e300 over a fixed quantity: real growth is 0 and
-# nominal growth overflows, so the nominal column is refused.
+# nominal growth overflows, so the nominal column holds an error there.
 NOMINAL_OVERFLOW = [((1.0, 0.5e-300),), ((1.0, 1e-300),), ((1.0, 1e300),),
                     ((2.0, 1e300),)]
 
 
+# Two index methods that are not ``IndexMethod`` members: every step under
+# them raises ``ValidationError``.
+NOT_METHODS = ["fisher", None]
+
+
+def step_outcome(fn, panel, step, method):
+    """``fn``'s outcome at ``step`` under ``method``, which nominal growth
+    does not take."""
+    if fn in (nominal_growth, frozen_nominal_growth):
+        return outcome(fn, panel, step)
+    return outcome(fn, panel, step, method)
+
+
+def assert_same_as_frozen(panel):
+    """Every per-step call, at every step and one out of range at each end,
+    under every method gives its frozen reference's outcome: first as the
+    first call on a fresh panel, then interleaved across methods and
+    functions on one panel."""
+    steps = range(-1, panel.n_periods)
+    methods = ALL_METHODS + NOT_METHODS
+    fns = (real_growth, nominal_growth, inflation, perspective_report)
+
+    def outcomes(fn, panel, method):
+        return [repr(step_outcome(fn, panel, step, method)) for step in steps]
+
+    for method in methods:
+        for fn in fns:
+            # The first call on a fresh panel builds its columns.
+            assert outcomes(fn, fresh(panel), method) == outcomes(
+                FROZEN[fn], panel, method)
+    new = fresh(panel)
+    for step in steps:
+        for method in methods:
+            for fn in fns:
+                assert repr(step_outcome(fn, new, step, method)) == repr(
+                    step_outcome(FROZEN[fn], panel, step, method))
+
+
+def assert_same_as_frozen_in_any_order(panel, rng):
+    """Every public per-step and whole-series call on ``panel`` and its
+    loop, in an order shuffled by ``rng``, gives its frozen reference's
+    outcome."""
+    loop = out_and_back(panel)
+    calls = [(fn, step, method)
+             for fn in (real_growth, nominal_growth, inflation,
+                        perspective_report)
+             for step in range(-1, panel.n_periods)
+             for method in ALL_METHODS + NOT_METHODS]
+    calls += [(growth_series, method, geometric)
+              for method in ALL_METHODS + NOT_METHODS
+              for geometric in (False, True)]
+    calls += [(circularity_residual, method, None)
+              for method in ALL_METHODS + NOT_METHODS]
+    rng.shuffle(calls)
+    new, new_loop = fresh(panel), fresh(loop)
+    for fn, arg, other in calls:
+        if fn is circularity_residual:
+            got = outcome(fn, new_loop, arg)
+            want = outcome(FROZEN[fn], loop, arg)
+        elif fn is growth_series:
+            got = outcome(fn, new, arg, other)
+            want = outcome(FROZEN[fn], panel, arg, other)
+        else:
+            got = step_outcome(fn, new, arg, other)
+            want = step_outcome(FROZEN[fn], panel, arg, other)
+        assert repr(got) == repr(want)
+
+
+def quiet_divide(x, y):
+    """``x / y`` in IEEE arithmetic: a division by zero gives an infinity,
+    or nan for 0 / 0, and raises nothing."""
+    if y != 0.0:
+        return x / y
+    if x == 0.0 or x != x:
+        return math.nan
+    return math.copysign(math.inf, x) * math.copysign(1.0, y)
+
+
+class Quiet(float):
+    """A float subclass whose arithmetic keeps its class and never raises,
+    as ``numpy.float64``'s does; its repr names it, so that a rate that
+    lost its class shows in a compared repr."""
+
+    def __repr__(self):
+        return f"Quiet({float(self)!r})"
+
+    def __add__(self, other):
+        return Quiet(float(self) + float(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return Quiet(float(self) - float(other))
+
+    def __rsub__(self, other):
+        return Quiet(float(other) - float(self))
+
+    def __mul__(self, other):
+        return Quiet(float(self) * float(other))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return Quiet(quiet_divide(float(self), float(other)))
+
+    def __rtruediv__(self, other):
+        return Quiet(quiet_divide(float(other), float(self)))
+
+
+def entries_as(kind, panel):
+    """``panel`` with each quantity and price converted to ``kind``."""
+    return panel_of([tuple((kind(q), kind(p)) for q, p in period)
+                     for period in panel.periods], labels=panel.period_labels)
+
+
 class TestKeptColumns:
-    """``inflation`` and ``perspective_report`` read each step from the
-    kept real, inflation and nominal columns, bit for bit as the
-    step-by-step path, or with the same error."""
-
-    def assert_same_as_step_by_step(self, panel):
-        steps = range(-1, panel.n_periods)  # one out of range at each end
-
-        def outcomes(fn, panel, method):
-            return [repr(outcome(fn, panel, step, method)) for step in steps]
-
-        old = step_by_step(panel)
-        for method in ALL_METHODS:
-            for fn in (inflation, perspective_report):
-                # The first call on a fresh panel builds its columns.
-                assert outcomes(fn, fresh(panel), method) == outcomes(
-                    fn, old, method)
-        new = fresh(panel)
-        for step in steps:
-            for method in ALL_METHODS:
-                for fn in (inflation, perspective_report):
-                    assert repr(outcome(fn, new, step, method)) == repr(
-                        outcome(fn, old, step, method))
+    """Every per-step call reads its step from a kept column of rates and
+    errors, bit for bit as the frozen step-by-step path, or with the same
+    error."""
 
     @given(wide_panels())
     def test_matches_step_by_step(self, panel):
-        self.assert_same_as_step_by_step(panel)
+        assert_same_as_frozen(panel)
 
     @given(overflowing_panels())
     def test_matches_step_by_step_with_scaled_steps(self, panel):
-        self.assert_same_as_step_by_step(panel)
+        assert_same_as_frozen(panel)
 
     def test_island_panel(self):
-        self.assert_same_as_step_by_step(
-            generate_panel(island_scenario("north")))
+        assert_same_as_frozen(generate_panel(island_scenario("north")))
+
+    @given(wide_panels(), st.randoms(use_true_random=False))
+    def test_any_call_order(self, panel, rng):
+        assert_same_as_frozen_in_any_order(panel, rng)
+
+    @given(st.one_of(wide_panels(), overflowing_panels()),
+           st.randoms(use_true_random=False))
+    def test_float_subclass_entries(self, panel, rng):
+        # Rates of a ``Quiet`` panel are ``Quiet`` too, and its faults are
+        # found without a division by zero, which would not raise.
+        quiet = entries_as(Quiet, panel)
+        assert_same_as_frozen(quiet)
+        assert_same_as_frozen_in_any_order(quiet, rng)
+
+    @pytest.mark.skipif(numpy is None, reason="numpy is not installed")
+    @given(st.one_of(wide_panels(), overflowing_panels()),
+           st.randoms(use_true_random=False))
+    def test_numpy_entries(self, panel, rng):
+        # numpy warns where a float division by zero would raise; the
+        # answers, not the warnings, are compared.
+        with numpy.errstate(all="ignore"):
+            float64 = entries_as(numpy.float64, panel)
+            assert_same_as_frozen(float64)
+            assert_same_as_frozen_in_any_order(float64, rng)
 
     def test_collapse_refuses_only_the_inflation_column(self):
         panel = panel_of(COLLAPSE)
-        self.assert_same_as_step_by_step(panel)
+        assert_same_as_frozen(panel)
         for method in ALL_METHODS:
             assert real_growth(panel, 1, method) == -1.0
             with pytest.raises(DegenerateBaseError,
                                match="^real output falls to zero at period "
                                      "2: inflation is undefined$"):
                 perspective_report(panel, 1, method)
-            # Every other step still answers, from the kept real column.
+            # Every other step still answers, and so does the real series.
             for step in (0, 2):
                 report = perspective_report(panel, step, method)
                 assert inflation(panel, step, method) == (
                     report.national_inflation)
-            assert panel._rates[method] is not None
-            assert panel._inflations[method] is None
+            assert growth_series(panel, method).rates[1] == -1.0
 
     def test_refused_nominal_column(self):
         panel = panel_of(NOMINAL_OVERFLOW)
-        self.assert_same_as_step_by_step(panel)
+        assert_same_as_frozen(panel)
         for method in ALL_METHODS:
             assert inflation(panel, 0, method) == 1.0
             with pytest.raises(DegenerateBaseError,
@@ -1325,27 +1575,69 @@ class TestKeptColumns:
                 inflation(panel, 1, method)
             assert perspective_report(panel, 2, method).national_inflation == (
                 0.0)
-            assert panel._rates[method] == (0.0, 0.0, 1.0)
-            assert panel._inflations[method] is None
+            assert growth_series(panel, method).rates == (0.0, 0.0, 1.0)
 
     def test_one_column_pass_per_panel_and_method(self, monkeypatch):
         builds = []
+        table_rates = indexes._table_rates
         inflation_rates = indexes._inflation_rates
 
-        def counting_inflation_rates(panel, method):
-            builds.append(method)
-            return inflation_rates(panel, method)
+        def counting_table_rates(steps, key):
+            builds.append(("rates", key))
+            return table_rates(steps, key)
 
+        def counting_inflation_rates(rates, method):
+            builds.append(("inflation", method))
+            return inflation_rates(rates, method)
+
+        monkeypatch.setattr(indexes, "_table_rates", counting_table_rates)
         monkeypatch.setattr(indexes, "_inflation_rates",
                             counting_inflation_rates)
         panel = fresh(long_panel(n_periods=30))
         for method in ALL_METHODS:
+            growth_series(panel, method)
             for step in range(panel.n_periods - 1):
+                real_growth(panel, step, method)
+                nominal_growth(panel, step)
                 inflation(panel, step, method)
                 perspective_report(panel, step, method)
-        assert builds == ALL_METHODS
-        assert all(len(panel._inflations[method]) == panel.n_periods - 1
-                   for method in ALL_METHODS)
+        # One real column per method, one nominal column, one inflation
+        # column per method.
+        assert sorted(builds, key=repr) == sorted(
+            [("rates", method) for method in ALL_METHODS]
+            + [("rates", indexes._NOMINAL)]
+            + [("inflation", method) for method in ALL_METHODS], key=repr)
+
+    def test_kept_errors_are_raised_afresh(self):
+        # Each raise is a new instance with a traceback of its own call
+        # only: a kept error raised itself would gather frames each time.
+        collapse = panel_of(COLLAPSE)
+        zero_base = panel_of([((1.0, 1.0),), ((0.0, 1.0),), ((1.0, 1.0),)])
+        calls = [
+            (inflation, collapse, 1, IndexMethod.LASPEYRES),
+            (perspective_report, collapse, 1, IndexMethod.LASPEYRES),
+            (real_growth, zero_base, 1, IndexMethod.FISHER),
+            (growth_series, zero_base, IndexMethod.FISHER),
+        ]
+
+        def depth(exc):
+            tb, n = exc.__traceback__, 0
+            while tb is not None:
+                tb, n = tb.tb_next, n + 1
+            return n
+
+        rounds = []
+        for _ in range(3):
+            raised = []
+            for fn, *args in calls:
+                with pytest.raises(DegenerateBaseError) as info:
+                    fn(*args)
+                raised.append(info.value)
+            rounds.append(raised)
+        assert len({id(exc) for raised in rounds for exc in raised}) == (
+            3 * len(calls))
+        assert [list(map(depth, raised)) for raised in rounds] == (
+            [list(map(depth, rounds[0]))] * 3)
 
     @pytest.mark.parametrize("method", ["fisher", None])
     def test_method_that_is_not_an_index_method(self, method):
