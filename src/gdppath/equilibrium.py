@@ -15,8 +15,10 @@ year); real-growth measures downstream are invariant to that choice.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
+from ._records import TupleRecord
 from .errors import (
     DegenerateSectorError,
     InfeasibleAllocationError,
@@ -136,18 +138,16 @@ class EconomySpec:
         return self.rate_of_return + sector.depreciation
 
 
-@dataclass(frozen=True)
-class EquilibriumPoint:
+class EquilibriumPoint(TupleRecord, namedtuple("EquilibriumPoint", (
+        "sector_names", "capital_per_labor", "output_per_labor", "prices",
+        "labor", "outputs"))):
     """One year's solved equilibrium, per sector; the wage is the numeraire
     ``WAGE_NUMERAIRE``.  The yearly solve needs no capital stock; the point
-    keeps T*kappa to check the derivation's first-order condition against."""
+    keeps T*kappa to check the derivation's first-order condition against.
+    A tuple record (``_records``) of per-sector tuples; ``outputs`` holds
+    Y_a = L_a * y_a."""
 
-    sector_names: tuple[str, ...]
-    capital_per_labor: tuple[float, ...]
-    output_per_labor: tuple[float, ...]
-    prices: tuple[float, ...]
-    labor: tuple[float, ...]
-    outputs: tuple[float, ...]  # Y_a = L_a * y_a
+    __slots__ = ()
 
 
 def solve_capital_per_labor(
@@ -259,8 +259,8 @@ def solve_equilibrium(
         capital.append(t * kappa)
         _require_finite(k=capital[-1])
     names = tuple(s.name for s in spec.sectors)
-    return EquilibriumPoint(names, tuple(capital),
-                            *_solve_year(spec, *productivities))
+    return tuple.__new__(EquilibriumPoint, (
+        names, tuple(capital), *_solve_year(spec, *productivities)))
 
 
 def utility(spec: EconomySpec, output_a: float, output_b: float) -> float:

@@ -11,8 +11,10 @@ catch-up extrapolation misleading.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
+from ._records import TupleRecord
 from .errors import (
     DegenerateBaseError,
     ModelError,
@@ -38,14 +40,13 @@ from .indexes import (
 REFERENCE_RULES = ("common-prices", "own-nominal")
 
 
-@dataclass(frozen=True)
-class GapReport:
-    """National real / national inflation / international growth for one step."""
+class GapReport(TupleRecord, namedtuple("GapReport", (
+        "national_real_growth", "national_inflation", "international_growth",
+        "method"))):
+    """National real / national inflation / international growth for one
+    step, under an ``IndexMethod``; a tuple record (``_records``)."""
 
-    national_real_growth: float
-    national_inflation: float
-    international_growth: float
-    method: IndexMethod
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -145,8 +146,8 @@ def perspective_report(
             (g_inf := column[step]).__class__ is float
             or not isinstance(g_inf, ModelError)):
         rates = panel._rates
-        return GapReport(rates[method][step], g_inf, rates[_NOMINAL][step],
-                         method)
+        return tuple.__new__(GapReport, (
+            rates[method][step], g_inf, rates[_NOMINAL][step], method))
     # A step out of range, or one that fails: one of these two raises, the
     # step's real growth error first, else its inflation error, which holds
     # the step's nominal growth error ahead of its own.

@@ -1015,6 +1015,18 @@ class TestOverflowingStep:
                                  "to 1$"):
             path_integral_gdp(panel)
 
+    def test_path_integral_overflow_on_a_later_leg(self):
+        # The running integral is 1 and then 2; the third leg's term,
+        # 0.5 * (1 + 1e10) * (1e300 - 3), is inf.
+        panel = panel_of([((1.0, 1.0), (1.0, 1.0)),
+                          ((2.0, 1.0), (1.0, 1.0)),
+                          ((3.0, 1.0), (1.0, 1.0)),
+                          ((1e300, 1e10), (1.0, 1.0))])
+        with pytest.raises(DegenerateBaseError,
+                           match="^path integral overflows from period 2 "
+                                 "to 3$"):
+            path_integral_gdp(panel)
+
 
 # The per-step path as it was before every kept column held each step's
 # rate or error: one step's growth from its entry of the package's step
