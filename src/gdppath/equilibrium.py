@@ -88,6 +88,8 @@ class EconomySpec:
     rate_of_return: float  # R_c, per year
     subsistence: float  # N0, good-A units per person per year
     omega: float  # utility exponent on the service good
+    _sector_names: tuple[str, ...] = field(init=False, repr=False,
+                                           compare=False)
     # Per sector: (lam, kappa = ((1-lam)/gr)^(1/lam) with gr = R_c + delta,
     # c = kappa^(1-lam), the output per labor at T = 1).
     _sector_constants: tuple[tuple[float, float, float], ...] = field(
@@ -128,6 +130,8 @@ class EconomySpec:
             c = kappa ** (1.0 - s.elasticity)
             constants.append((s.elasticity, kappa, c))
         omega_lam_b = self.omega * self.sectors[1].elasticity
+        object.__setattr__(self, "_sector_names",
+                           tuple(s.name for s in self.sectors))
         object.__setattr__(self, "_sector_constants", tuple(constants))
         object.__setattr__(self, "_omega_lam_b", omega_lam_b)
         object.__setattr__(
@@ -258,9 +262,9 @@ def solve_equilibrium(
             raise ValidationError("productivity must be >= 0")
         capital.append(t * kappa)
         _require_finite(k=capital[-1])
-    names = tuple(s.name for s in spec.sectors)
     return tuple.__new__(EquilibriumPoint, (
-        names, tuple(capital), *_solve_year(spec, *productivities)))
+        spec._sector_names, tuple(capital),
+        *_solve_year(spec, *productivities)))
 
 
 def utility(spec: EconomySpec, output_a: float, output_b: float) -> float:

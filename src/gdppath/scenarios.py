@@ -235,8 +235,8 @@ def generate_panel(scenario: IslandScenario) -> PricedPanel:
         except ModelError as exc:
             raise type(exc)(f"year {year}: {exc}") from exc
         periods.append(((out_a, p_a), (out_b, p_b)))
-    return PricedPanel._from_checked(tuple(s.name for s in spec.sectors),
-                                     tuple(periods), schedule.years)
+    return PricedPanel._from_checked(spec._sector_names, tuple(periods),
+                                     schedule.years)
 
 
 def _bisect(f, lo: float, hi: float, tol: float, max_iter: int = 200) -> float:
@@ -342,7 +342,7 @@ def calibrate_constant_growth(
     if years < 1:
         raise ValidationError("years must be >= 1")
     _check_horizon(years)
-    if target_t_end <= 1.0:
+    if not target_t_end > 1.0:  # NaN too
         raise ValidationError("target productivity endpoint must exceed 1")
     economy = spec if spec is not None else default_spec()
     # Both sectors end at the target; refuse it here rather than in the

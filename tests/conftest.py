@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gdppath import PricedPanel, default_spec
+from gdppath import ModelError, PricedPanel, default_spec
 
 
 @pytest.fixture
@@ -41,6 +41,16 @@ def hand_loop():
                  ((1.0, 1.0), (1.0, 1.0))),
         period_labels=(0, 1, 2),
     )
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of a call, or the type and message of the ``ModelError``
+    it raised; any other error fails the test.  A differential test compares
+    the ``repr`` of two outcomes, which tells floats apart bit for bit."""
+    try:
+        return fn(*args, **kwargs)
+    except ModelError as exc:
+        return type(exc), str(exc)
 
 
 def bisect_root(f, lo, hi, tol=1e-12, max_iter=500):

@@ -1,6 +1,6 @@
+import copy
 import dataclasses
 import math
-import re
 import sys
 
 import pytest
@@ -25,11 +25,11 @@ from gdppath import (
     solve_equilibrium,
     utility,
 )
-from gdppath.equilibrium import WAGE_NUMERAIRE, _labor_split, _solve_year
+from gdppath.equilibrium import WAGE_NUMERAIRE, _solve_year
 from gdppath.indexes import PricedPanel
 from gdppath.scenarios import ISLAND_RULES
 
-from conftest import bisect_root, golden_section_max
+from conftest import bisect_root, golden_section_max, outcome
 
 LAM = 2.0 / 3.0
 GR = 0.11  # R_c + delta for the baseline economy
@@ -259,12 +259,12 @@ class TestSolveEquilibrium:
         assert str(info.value) == "a sector's output L*y overflows"
 
 
-# solve_equilibrium written out in closed form from the spec's public fields:
-# per sector the checked capital per labor k = T*kappa, then y = c*T with
-# c = kappa^(1-lam) and P = W/(lam*y), then the labor split.  Each constant is
-# computed in the order EconomySpec computes it, so the point agrees bit for
-# bit.  The reference calls nothing in gdppath and keeps the public helpers'
-# checks and messages.
+# The kernel written out in closed form from the spec's public fields: per
+# sector the checked capital per labor k = T*kappa, then y = c*T with
+# c = kappa^(1-lam) and P = W/(lam*y), then the labor split and the outputs
+# L*y.  Each constant is computed in the order EconomySpec computes it, so
+# the results agree bit for bit.  The reference calls nothing in gdppath
+# and keeps the public functions' checks, messages and order.
 def reference_constants(spec, sector):
     """gr = R_c + delta, kappa = ((1-lam)/gr)^(1/lam) and c = kappa^(1-lam),
     the output per labor at T = 1."""
@@ -287,17 +287,10 @@ def reference_capital_per_labor(t, lam, gr):
     return k
 
 
-def reference_allocate_labor(spec, t_a):
-    """allocate_labor: T_A's checks, then the labor split at y_A = c_A*T_A."""
-    (sec_a, sec_b), total = spec.sectors, spec.total_labor
-    lam_a, lam_b = sec_a.elasticity, sec_b.elasticity
-    gr_a, _, c_a = reference_constants(spec, sec_a)
-    reference_capital_per_labor(t_a, lam_a, gr_a)
-    y_a = c_a * t_a
-    if y_a <= 0.0:
-        raise InfeasibleAllocationError(
-            "sector A produces nothing; subsistence cannot be met"
-        )
+def reference_labor_split(spec, y_a):
+    """The labor pair at sector A's output per labor y_A > 0."""
+    lam_a, lam_b = (s.elasticity for s in spec.sectors)
+    total = spec.total_labor
     share = (lam_a + spec.omega * lam_b * (spec.subsistence / y_a)) / (
         lam_a + spec.omega * lam_b
     )
@@ -310,17 +303,24 @@ def reference_allocate_labor(spec, t_a):
     return labor_a, total - labor_a
 
 
-def helper_chain_solve_equilibrium(spec, productivities):
-    if len(productivities) != len(spec.sectors):
-        raise ValidationError(
-            f"expected {len(spec.sectors)} productivities, "
-            f"got {len(productivities)}"
+def reference_allocate_labor(spec, t_a):
+    """allocate_labor: T_A's checks, then the labor split at y_A = c_A*T_A."""
+    sec_a = spec.sectors[0]
+    gr_a, _, c_a = reference_constants(spec, sec_a)
+    reference_capital_per_labor(t_a, sec_a.elasticity, gr_a)
+    y_a = c_a * t_a
+    if y_a <= 0.0:
+        raise InfeasibleAllocationError(
+            "sector A produces nothing; subsistence cannot be met"
         )
-    ks, ys, prices = [], [], []
-    for sector, t in zip(spec.sectors, productivities):
-        gr, _, c = reference_constants(spec, sector)
-        ks.append(reference_capital_per_labor(t, sector.elasticity, gr))
-        y = c * t
+    return reference_labor_split(spec, y_a)
+
+
+def reference_solve_year(spec, t_a, t_b):
+    """One year's outputs per labor, prices, labor pair and outputs."""
+    ys, prices = [], []
+    for sector, t in zip(spec.sectors, (t_a, t_b)):
+        y = reference_constants(spec, sector)[2] * t
         net_output = sector.elasticity * y
         if net_output <= 0.0:
             raise DegenerateSectorError(
@@ -332,23 +332,53 @@ def helper_chain_solve_equilibrium(spec, productivities):
         raise DegenerateSectorError(
             "cannot price a sector: its price W/(lam*y) overflows"
         )
-    labors = reference_allocate_labor(spec, productivities[0])
+    labors = reference_labor_split(spec, ys[0])
+    outputs = tuple(la * y for la, y in zip(labors, ys))
+    if not all(out < math.inf for out in outputs):
+        raise DegenerateSectorError("a sector's output L*y overflows")
+    return tuple(ys), tuple(prices), labors, outputs
+
+
+def reference_solve_equilibrium(spec, productivities):
+    if len(productivities) != len(spec.sectors):
+        raise ValidationError(
+            f"expected {len(spec.sectors)} productivities, "
+            f"got {len(productivities)}"
+        )
+    capital = tuple(
+        reference_capital_per_labor(t, sector.elasticity,
+                                    reference_constants(spec, sector)[0])
+        for sector, t in zip(spec.sectors, productivities)
+    )
+    ys, prices, labors, outputs = reference_solve_year(spec, *productivities)
     return EquilibriumPoint(
         sector_names=tuple(s.name for s in spec.sectors),
-        capital_per_labor=tuple(ks),
-        output_per_labor=tuple(ys),
-        prices=tuple(prices),
+        capital_per_labor=capital,
+        output_per_labor=ys,
+        prices=prices,
         labor=labors,
-        outputs=tuple(la * y for la, y in zip(labors, ys)),
+        outputs=outputs,
     )
 
 
-def solve_outcome(solve, spec, productivities):
-    """The solved point, or the class and message of the error raised."""
-    try:
-        return solve(spec, productivities)
-    except ModelError as exc:
-        return type(exc), str(exc)
+def reference_generate_panel(scenario):
+    """Each year's solve, named by its year where it fails, then the panel
+    built with every check of ``PricedPanel``."""
+    spec, schedule = scenario.spec, scenario.schedule
+    periods = []
+    for year, t_a, t_b in zip(
+        schedule.years, schedule.values_a, schedule.values_b
+    ):
+        try:
+            _, prices, _, outputs = reference_solve_year(spec, t_a, t_b)
+        except ModelError as exc:
+            raise type(exc)(f"year {year}: {exc}") from exc
+        periods.append(tuple(zip(outputs, prices)))
+    return PricedPanel(
+        sector_names=tuple(s.name for s in spec.sectors),
+        periods=tuple(periods),
+        period_labels=schedule.years,
+    )
 
 
 @st.composite
@@ -376,8 +406,8 @@ productivities = st.one_of(
 
 
 class TestKernelMatchesHelperChain:
-    """solve_equilibrium gives the helper chain's point bit for bit and
-    raises its errors on the same inputs."""
+    """solve_equilibrium gives the reference's point bit for bit and raises
+    its errors on the same inputs."""
 
     @given(spec=two_sector_specs(), t_a=productivities, t_b=productivities)
     @example(spec=EconomySpec(sectors=(SectorParams("A", LAM, 0.055),
@@ -394,8 +424,8 @@ class TestKernelMatchesHelperChain:
     def test_same_point_or_error(self, spec, t_a, t_b):
         # repr tells floats apart bit for bit, -0.0 from 0.0 included.
         for ts in ((t_a, t_b), [t_a, t_b]):
-            assert repr(solve_outcome(solve_equilibrium, spec, ts)) == repr(
-                solve_outcome(helper_chain_solve_equilibrium, spec, ts)
+            assert repr(outcome(solve_equilibrium, spec, ts)) == repr(
+                outcome(reference_solve_equilibrium, spec, ts)
             )
 
     @given(spec=two_sector_specs(), t_a=st.one_of(
@@ -404,8 +434,8 @@ class TestKernelMatchesHelperChain:
     ))
     @settings(max_examples=300)
     def test_allocate_labor_matches_reference(self, spec, t_a):
-        assert repr(solve_outcome(allocate_labor, spec, t_a)) == repr(
-            solve_outcome(reference_allocate_labor, spec, t_a)
+        assert repr(outcome(allocate_labor, spec, t_a)) == repr(
+            outcome(reference_allocate_labor, spec, t_a)
         )
 
     @pytest.mark.parametrize("ts, error", [
@@ -421,8 +451,8 @@ class TestKernelMatchesHelperChain:
         ((1.0, 1e-309), DegenerateSectorError),  # P_B = W/(lam*y) overflows
     ])
     def test_errors_match(self, spec, ts, error):
-        got = solve_outcome(solve_equilibrium, spec, ts)
-        assert got == solve_outcome(helper_chain_solve_equilibrium, spec, ts)
+        got = outcome(solve_equilibrium, spec, ts)
+        assert got == outcome(reference_solve_equilibrium, spec, ts)
         assert got[0] is error
 
     def test_nan_labor_share_is_infeasible(self, spec):
@@ -430,8 +460,8 @@ class TestKernelMatchesHelperChain:
         # overflows at a tiny T_A: 0 * inf is NaN.
         spec = dataclasses.replace(spec, subsistence=5.0, omega=0.0)
         ts = (1e-308, 1.0)
-        got = solve_outcome(solve_equilibrium, spec, ts)
-        assert got == solve_outcome(helper_chain_solve_equilibrium, spec, ts)
+        got = outcome(solve_equilibrium, spec, ts)
+        assert got == outcome(reference_solve_equilibrium, spec, ts)
         assert got[0] is InfeasibleAllocationError
         with pytest.raises(InfeasibleAllocationError):
             allocate_labor(spec, ts[0])
@@ -514,66 +544,6 @@ class TestClosedFormMatchesPhysicalChain:
             assert abs(p_chain - p) <= p_bound * p
 
 
-# The kernel and generate_panel before the kernel refused an overflowing
-# output, in closed form from the spec's public fields and with the kernel's
-# message constants written out; the panel was then built with PricedPanel's
-# checked constructor, whose entry check refused such an output.
-def checked_solve_year(spec, t_a, t_b):
-    sec_a, sec_b = spec.sectors
-    lam_a, lam_b = sec_a.elasticity, sec_b.elasticity
-    y_a = reference_constants(spec, sec_a)[2] * t_a
-    y_b = reference_constants(spec, sec_b)[2] * t_b
-    net_a = lam_a * y_a
-    if net_a <= 0.0:
-        raise DegenerateSectorError(
-            "cannot price a sector with zero output per labor")
-    net_b = lam_b * y_b
-    if net_b <= 0.0:
-        raise DegenerateSectorError(
-            "cannot price a sector with zero output per labor")
-    p_a = WAGE_NUMERAIRE / net_a
-    p_b = WAGE_NUMERAIRE / net_b
-    if not p_a < math.inf or not p_b < math.inf:
-        raise DegenerateSectorError(
-            "cannot price a sector: its price W/(lam*y) overflows")
-    labor_a, labor_b = _labor_split(spec, lam_a, y_a)
-    return (
-        (y_a, y_b),
-        (p_a, p_b),
-        (labor_a, labor_b),
-        (labor_a * y_a, labor_b * y_b),
-    )
-
-
-def checked_generate_panel(scenario):
-    spec, schedule = scenario.spec, scenario.schedule
-    periods = []
-    for year, t_a, t_b in zip(
-        schedule.years, schedule.values_a, schedule.values_b
-    ):
-        try:
-            _, (p_a, p_b), _, (out_a, out_b) = checked_solve_year(
-                spec, t_a, t_b)
-        except (InfeasibleAllocationError, DegenerateSectorError) as exc:
-            raise type(exc)(f"year {year}: {exc}") from exc
-        periods.append(((out_a, p_a), (out_b, p_b)))
-    return PricedPanel(
-        sector_names=tuple(s.name for s in spec.sectors),
-        periods=tuple(periods),
-        period_labels=schedule.years,
-    )
-
-
-def panel_outcome(simulate, scenario):
-    """The panel's fields, or the class and message of the error raised."""
-    try:
-        panel = simulate(scenario)
-    except ModelError as exc:
-        return type(exc), str(exc)
-    # repr tells floats apart bit for bit, -0.0 from 0.0 included.
-    return repr((panel.sector_names, panel.periods, panel.period_labels))
-
-
 @st.composite
 def near_overflow_scenarios(draw):
     """Short schedules of strictly increasing productivities from 1 up to
@@ -596,10 +566,9 @@ def near_overflow_scenarios(draw):
 
 
 class TestPanelNeedsNoSecondCheck:
-    """generate_panel, building its panel unchecked, gives the checked
-    version's panel bit for bit and its kernel errors.  Where that version
-    built a panel with an overflowing output (and refused it, or failed on
-    a later year), the kernel now refuses that year itself."""
+    """generate_panel, building its panel unchecked, gives the reference's
+    panel, built with every check, bit for bit, or its error: a year whose
+    output overflows is refused by the kernel itself."""
 
     @given(near_overflow_scenarios())
     @example(IslandScenario("hand-built", default_spec(), ProductivitySchedule(
@@ -608,31 +577,9 @@ class TestPanelNeedsNoSecondCheck:
         1900, (1.0, 1e305, 1e308), (1.0, 2.0, 3.0))))
     @settings(max_examples=300)
     def test_same_panel_or_error(self, scenario):
-        new = panel_outcome(generate_panel, scenario)
-        old = panel_outcome(checked_generate_panel, scenario)
-        if new == old:
-            return
-        # The first year whose outputs overflow, as the checked kernel
-        # solved them; no year before it failed.
-        schedule = scenario.schedule
-        for year, t_a, t_b in zip(
-            schedule.years, schedule.values_a, schedule.values_b
-        ):
-            outputs = checked_solve_year(scenario.spec, t_a, t_b)[3]
-            if not all(y < math.inf for y in outputs):
-                break
-        else:
-            pytest.fail(f"outcomes differ without an overflow: {new} {old}")
-        assert new == (DegenerateSectorError,
-                       f"year {year}: a sector's output L*y overflows")
-        if old[0] is ValidationError:
-            period = year - schedule.start_year
-            assert re.match(rf"period {period}, sector \w+: non-finite "
-                            "quantity", old[1])
-        else:
-            assert old[0] in (DegenerateSectorError,
-                              InfeasibleAllocationError)
-            assert int(re.match(r"year (\d+): ", old[1])[1]) > year
+        # repr tells floats apart bit for bit, -0.0 from 0.0 included.
+        assert repr(outcome(generate_panel, scenario)) == repr(
+            outcome(reference_generate_panel, scenario))
 
 
 class TestUtility:
@@ -762,6 +709,15 @@ class TestSpecValidation:
             f"EconomySpec(sectors={spec.sectors!r}, total_labor=100000.0, "
             "rate_of_return=0.055, subsistence=1.6711, omega=5.0)"
         )
+        assert spec._sector_names == ("A", "B")
+        # Each compiled field, even one that differs, is left out of
+        # equality, hash and repr.
+        for name in ("_sector_names", "_sector_constants", "_omega_lam_b",
+                     "_labor_denominator"):
+            other = copy.copy(spec)
+            object.__setattr__(other, name, None)
+            assert other == spec and hash(other) == hash(spec)
+            assert repr(other) == repr(spec)
 
     @pytest.mark.parametrize("field, value, message", [
         ("total_labor", 0.0, "total_labor must be > 0"),

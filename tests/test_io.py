@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from gdppath import (
     EconomySpec,
     IslandScenario,
-    ModelError,
     PanelFormatError,
     PricedPanel,
     SectorParams,
@@ -23,15 +21,15 @@ from gdppath import (
     read_scenario_config,
     write_panel,
 )
-from gdppath.indexes import _entry_problem
 from gdppath.panel_io import (
     GENERAL,
     PANEL_MODES,
     PAPER_COMPAT,
-    _parse_header,
     write_columns,
 )
 from gdppath.scenarios import END_YEAR, START_YEAR, T_END
+
+from conftest import outcome
 
 
 @st.composite
@@ -274,9 +272,12 @@ class TestEntryRule:
         assert str(info.value) == f"period 0, sector farm: {problem}"
 
 
-# The reader and writer as they were before the single row loop: one loop
-# per layout, and the entry rule in a helper of the reader's own.  They are
-# the oracle of the differential tests below.
+# The reference reader and writers.  The reader parses and checks a text
+# row by row and each row field pair by field pair, with the messages of
+# ``read_panel``, and then builds the panel with every check of
+# ``PricedPanel``; the writers format each float with ``format(v, ".17g")``
+# and each row with ``str.join``.  The differential tests below hold
+# ``read_panel``, ``write_panel`` and ``write_columns`` to them.
 
 
 def _oracle_fmt(x):
@@ -308,6 +309,12 @@ def oracle_write_panel(panel, mode=PAPER_COMPAT):
     return "\n".join(lines) + "\n"
 
 
+def oracle_write_columns(labels, *columns):
+    lines = [",".join([str(label), *map(_oracle_fmt, row)])
+             for label, *row in zip(labels, *columns)]
+    return "\n".join(lines) + "\n"
+
+
 def _oracle_parse_float(token, line_no):
     try:
         return float(token)
@@ -336,83 +343,75 @@ def _oracle_check_pair(qty, price, name, line_no):
         )
 
 
-def oracle_read_panel(text, mode=PAPER_COMPAT, start_year=1900):
-    lines = [ln for ln in text.splitlines()]
-    if mode == PAPER_COMPAT:
-        periods = []
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            fields = line.split(",")
-            if len(fields) != 4:
-                raise PanelFormatError(
-                    f"line {line_no}: expected 4 fields, got {len(fields)}"
-                )
-            vals = [_oracle_parse_float(f, line_no) for f in fields]
-            _oracle_check_pair(vals[0], vals[1], "A", line_no)
-            _oracle_check_pair(vals[2], vals[3], "B", line_no)
-            periods.append(((vals[0], vals[1]), (vals[2], vals[3])))
-        if not periods:
-            raise PanelFormatError("empty panel stream")
-        return PricedPanel(
-            sector_names=("A", "B"),
-            periods=tuple(periods),
-            period_labels=tuple(range(start_year, start_year + len(periods))),
-        )
-    if mode == GENERAL:
-        body = [
-            (no, ln) for no, ln in enumerate(lines, start=1) if ln.strip()
-        ]
-        if not body:
-            raise PanelFormatError("empty panel stream")
-        header_no, header = body[0]
-        cols = header.split(",")
-        if len(cols) < 3 or cols[0] != "year" or (len(cols) - 1) % 2 != 0:
+def _oracle_parse_header(line_no, header):
+    cols = header.split(",")
+    if len(cols) < 3 or cols[0] != "year" or (len(cols) - 1) % 2 != 0:
+        raise PanelFormatError(f"line {line_no}: malformed header {header!r}")
+    names = []
+    for i in range(1, len(cols), 2):
+        if not (cols[i].startswith("Y_") and cols[i + 1].startswith("P_")):
             raise PanelFormatError(
-                f"line {header_no}: malformed header {header!r}"
+                f"line {line_no}: malformed column pair "
+                f"{cols[i]!r},{cols[i + 1]!r}"
             )
-        names = []
-        for i in range(1, len(cols), 2):
-            if not (cols[i].startswith("Y_") and cols[i + 1].startswith("P_")):
-                raise PanelFormatError(
-                    f"line {header_no}: malformed column pair "
-                    f"{cols[i]!r},{cols[i + 1]!r}"
-                )
-            if cols[i][2:] != cols[i + 1][2:]:
-                raise PanelFormatError(
-                    f"line {header_no}: mismatched sector names in "
-                    f"{cols[i]!r},{cols[i + 1]!r}"
-                )
-            names.append(cols[i][2:])
-        periods, labels = [], []
-        for line_no, line in body[1:]:
-            fields = line.split(",")
-            if len(fields) != len(cols):
-                raise PanelFormatError(
-                    f"line {line_no}: expected {len(cols)} fields, "
-                    f"got {len(fields)}"
-                )
+        if cols[i][2:] != cols[i + 1][2:]:
+            raise PanelFormatError(
+                f"line {line_no}: mismatched sector names in "
+                f"{cols[i]!r},{cols[i + 1]!r}"
+            )
+        names.append(cols[i][2:])
+    return names
+
+
+def oracle_read_panel(text, mode=PAPER_COMPAT, start_year=START_YEAR):
+    if mode not in PANEL_MODES:
+        raise ValidationError(f"unknown panel mode {mode!r}")
+    lines = enumerate(text.splitlines(), start=1)
+    rows = [(line_no, line) for line_no, line in lines if line.strip()]
+    if not rows:
+        raise PanelFormatError("empty panel stream")
+    general = mode == GENERAL
+    names = _oracle_parse_header(*rows.pop(0)) if general else ["A", "B"]
+    if not rows:
+        raise PanelFormatError("panel stream has a header but no rows")
+    width = 2 * len(names) + general  # a general row leads with its year
+    periods, labels = [], []
+    for line_no, line in rows:
+        fields = line.split(",")
+        if len(fields) != width:
+            raise PanelFormatError(
+                f"line {line_no}: expected {width} fields, got {len(fields)}"
+            )
+        tokens = iter(fields)
+        if general:
+            year = next(tokens)
             try:
-                labels.append(int(fields[0]))
+                labels.append(int(year))
             except ValueError:
                 raise PanelFormatError(
-                    f"line {line_no}: bad year {fields[0]!r}"
+                    f"line {line_no}: bad year {year!r}"
                 ) from None
-            period = []
-            for i, name in enumerate(names):
-                qty = _oracle_parse_float(fields[1 + 2 * i], line_no)
-                price = _oracle_parse_float(fields[2 + 2 * i], line_no)
-                _oracle_check_pair(qty, price, name, line_no)
-                period.append((qty, price))
-            periods.append(tuple(period))
-        if not periods:
-            raise PanelFormatError("panel stream has a header but no rows")
-        return PricedPanel(
-            sector_names=tuple(names),
-            periods=tuple(periods),
-            period_labels=tuple(labels),
-        )
-    raise ValidationError(f"unknown panel mode {mode!r}")
+        period = []
+        for name, q_field, p_field in zip(names, tokens, tokens):
+            qty = _oracle_parse_float(q_field, line_no)
+            price = _oracle_parse_float(p_field, line_no)
+            _oracle_check_pair(qty, price, name, line_no)
+            period.append((qty, price))
+        periods.append(tuple(period))
+    if not general:
+        labels = range(start_year, start_year + len(periods))
+    return PricedPanel(tuple(names), tuple(periods), tuple(labels))
+
+
+def assert_reader_matches_oracle(mode, text, start_year):
+    """``read_panel`` reads ``text`` as the reference does, bit for bit, or
+    fails on the same fault with the same message; a panel it reads is
+    written back as the reference writes it."""
+    new = outcome(read_panel, text, mode, start_year)
+    assert repr(new) == repr(outcome(oracle_read_panel, text, mode,
+                                     start_year))
+    if isinstance(new, PricedPanel):
+        assert write_panel(new, mode) == oracle_write_panel(new, mode)
 
 
 GOOD_TOKENS = ("1", "2.5", "1e-3", "5e-324", "1e308", " 7 ", "1_0")
@@ -458,72 +457,18 @@ def panel_texts(draw):
     return mode, "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
-def paper_compat_faults(line):
-    """How many fields or entries of a paper-compat row are at fault."""
-    faults = 0
-    fields = line.split(",")
-    for q_field, p_field in zip(fields[::2], fields[1::2]):
-        try:
-            qty, price = float(q_field), float(p_field)
-        except ValueError:
-            faults += sum(not _parses(f) for f in (q_field, p_field))
-        else:
-            faults += not (0.0 <= qty < math.inf and 0.0 < price < math.inf)
-    return faults
-
-
-def _parses(field):
-    try:
-        float(field)
-    except ValueError:
-        return False
-    return True
-
-
-def line_of(error):
-    match = re.match(r"line (\d+): ", str(error))
-    return match and int(match[1])
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ModelError as exc:
-        return exc
-
-
 class TestSingleRowLoop:
-    """The single row loop reads and writes what the two per-layout loops
-    did, and fails on the same inputs."""
+    """The single row loop reads what the reference reads, and fails on the
+    same fault with the same message."""
 
     @given(panel_texts())
     def test_reader_matches_oracle(self, case):
         mode, text = case
-        new = outcome(read_panel, text, mode, 1900)
-        old = outcome(oracle_read_panel, text, mode, 1900)
-        if isinstance(old, PricedPanel):
-            assert repr(new) == repr(old)
-            assert write_panel(new, mode) == oracle_write_panel(old, mode)
-            return
-        assert type(new) is type(old)
-        assert line_of(new) == line_of(old)
-        # Only a paper-compat row with two or more faults may name another
-        # one: the old loop parsed the whole row before checking sector A.
-        if mode == GENERAL or line_of(old) is None or paper_compat_faults(
-            text.splitlines()[line_of(old) - 1]
-        ) <= 1:
-            assert str(new) == str(old)
-
-    @given(panels())
-    def test_writer_matches_oracle(self, panel):
-        for mode in PANEL_MODES + ("csv",):
-            new = outcome(write_panel, panel, mode)
-            old = outcome(oracle_write_panel, panel, mode)
-            assert repr(new) == repr(old)
+        assert_reader_matches_oracle(mode, text, 1900)
 
 
-# The writers against ``format(v, ".17g")`` over the whole float range, for
-# the writers that build each text by one ``%`` over its cells.
+# The writers against the reference over the whole float range: each builds
+# its text by one ``%`` over its cells.
 
 FLOAT_MAX = 1.7976931348623157e308
 
@@ -565,30 +510,23 @@ def _spread_panel(n_sectors=8, n_periods=1000):
     return PricedPanel(names, periods, tuple(range(-500, n_periods - 500)))
 
 
-def oracle_write_columns(labels, *columns):
-    lines = [",".join([str(label), *map(_oracle_fmt, row)])
-             for label, *row in zip(labels, *columns)]
-    return "\n".join(lines) + "\n"
-
-
-def assert_writer_matches_format_oracle(panel):
-    for mode in PANEL_MODES:
+def assert_writer_matches_oracle(panel):
+    for mode in PANEL_MODES + ("csv",):
         new = outcome(write_panel, panel, mode)
-        old = outcome(oracle_write_panel, panel, mode)
-        assert repr(new) == repr(old)
+        assert repr(new) == repr(outcome(oracle_write_panel, panel, mode))
     assert read_panel(write_panel(panel, GENERAL), GENERAL) == panel
 
 
 class TestWritersMatchFormatOracle:
     @given(wide_panels())
     def test_panel_writer(self, panel):
-        assert_writer_matches_format_oracle(panel)
+        assert_writer_matches_oracle(panel)
 
     # Outside hypothesis, whose per-example deadline a 1000-period panel
     # can exceed under a line tracer.
     @pytest.mark.parametrize("n_sectors", [8, 2])
     def test_panel_writer_spread(self, n_sectors):
-        assert_writer_matches_format_oracle(_spread_panel(n_sectors))
+        assert_writer_matches_oracle(_spread_panel(n_sectors))
 
     @given(st.data())
     def test_columns_writer(self, data):
@@ -604,57 +542,6 @@ class TestWritersMatchFormatOracle:
         ]
         assert write_columns(labels, *columns) == oracle_write_columns(
             labels, *columns)
-
-
-
-# The reader as it was before each entry was checked once: it parsed and
-# checked the fields pair by pair, and then built the panel with every
-# check of ``PricedPanel``.  ``_parse_header`` and ``_entry_problem`` are
-# the package's own; the change did not touch them.
-
-
-def oracle_read_panel_checked_twice(text, mode=PAPER_COMPAT,
-                                    start_year=START_YEAR):
-    if mode not in PANEL_MODES:
-        raise ValidationError(f"unknown panel mode {mode!r}")
-    lines = enumerate(text.splitlines(), start=1)
-    rows = [(line_no, line) for line_no, line in lines if line.strip()]
-    if not rows:
-        raise PanelFormatError("empty panel stream")
-    general = mode == GENERAL
-    names = _parse_header(*rows.pop(0)) if general else ["A", "B"]
-    if not rows:
-        raise PanelFormatError("panel stream has a header but no rows")
-    width = 2 * len(names) + general  # a general row leads with its year
-    periods, labels = [], []
-    for line_no, line in rows:
-        fields = line.split(",")
-        if len(fields) != width:
-            raise PanelFormatError(
-                f"line {line_no}: expected {width} fields, got {len(fields)}"
-            )
-        tokens = iter(fields)
-        if general:
-            year = next(tokens)
-            try:
-                labels.append(int(year))
-            except ValueError:
-                raise PanelFormatError(
-                    f"line {line_no}: bad year {year!r}"
-                ) from None
-        period = []
-        for name, q_field, p_field in zip(names, tokens, tokens):
-            qty = _oracle_parse_float(q_field, line_no)
-            price = _oracle_parse_float(p_field, line_no)
-            if not (0.0 <= qty < math.inf and 0.0 < price < math.inf):
-                problem = _entry_problem(qty, price)
-                raise PanelFormatError(
-                    f"line {line_no}: sector {name}: {problem}")
-            period.append((qty, price))
-        periods.append(tuple(period))
-    if not general:
-        labels = range(start_year, start_year + len(periods))
-    return PricedPanel(tuple(names), tuple(periods), tuple(labels))
 
 
 # Tokens that parse to a valid entry, and tokens at fault: non-finite,
@@ -702,8 +589,7 @@ def fuzzed_panel_texts(draw):
 
 class TestEntriesCheckedOnce:
     """The reader that checks each entry once reads every text as the
-    reader that checked the entries twice, and fails on the same fault
-    with the same message."""
+    reference does, and fails on the same fault with the same message."""
 
     @settings(max_examples=300)
     @given(fuzzed_panel_texts(), st.sampled_from([1900, 2001]))
@@ -724,14 +610,7 @@ class TestEntriesCheckedOnce:
     @example((GENERAL, "year,Y_a,P_a\n 1901 ,1,1\n1902,1,1\n"), 1900)
     def test_reader_matches_oracle(self, case, start_year):
         mode, text = case
-        new = outcome(read_panel, text, mode, start_year)
-        old = outcome(oracle_read_panel_checked_twice, text, mode, start_year)
-        assert type(new) is type(old)
-        if isinstance(old, PricedPanel):
-            assert new == old
-            assert repr(new) == repr(old)
-        else:
-            assert str(new) == str(old)
+        assert_reader_matches_oracle(mode, text, start_year)
 
     def test_falling_labels_refused(self):
         text = "year,Y_a,P_a\n1991,1,1\n1990,1,1\n"
@@ -877,13 +756,8 @@ class TestScenarioConfigMove:
 
     @given(config_texts())
     def test_reader_matches_oracle(self, text):
-        new = outcome(read_scenario_config, text)
-        old = outcome(oracle_read_scenario_config, text)
-        assert type(new) is type(old)
-        if isinstance(old, IslandScenario):
-            assert new == old
-        else:
-            assert str(new) == str(old)
+        assert outcome(read_scenario_config, text) == outcome(
+            oracle_read_scenario_config, text)
 
     def test_every_pair_of_faults_reports_as_before(self):
         # Two values at fault, each refused or unparsable, in either order:
@@ -892,6 +766,5 @@ class TestScenarioConfigMove:
                   for value in (bad[0], bad[-1])]
         for (k1, v1), (k2, v2) in itertools.permutations(faults, 2):
             text = f"{k1} = {v1}\n{k2} = {v2}\n"
-            new = outcome(read_scenario_config, text)
-            old = outcome(oracle_read_scenario_config, text)
-            assert (type(new), str(new)) == (type(old), str(old)), text
+            assert outcome(read_scenario_config, text) == outcome(
+                oracle_read_scenario_config, text), text

@@ -11,7 +11,6 @@ from gdppath import (
     IndexMethod,
     InfeasibleAllocationError,
     IslandScenario,
-    ModelError,
     ProductivitySchedule,
     SectorParams,
     ValidationError,
@@ -33,7 +32,7 @@ from gdppath.scenarios import (
     _normalize,
 )
 
-from conftest import bisect_root
+from conftest import bisect_root, outcome
 
 
 def raw_product(multiplier_fn, n_steps=98):
@@ -142,15 +141,6 @@ def oracle_build_schedule(rule, start, end, normalize):
         values_a = _normalize(values_a, T_END)
         values_b = _normalize(values_b, T_END)
     return ProductivitySchedule(start, tuple(values_a), tuple(values_b))
-
-
-def outcome(fn, *args):
-    """The result of a call, or the type and message of the error it
-    raised.  Any error that is not a ``ModelError`` fails the test."""
-    try:
-        return fn(*args)
-    except ModelError as exc:
-        return type(exc), str(exc)
 
 
 class TestRuleTable:
@@ -319,6 +309,10 @@ class TestCalibration:
             calibrate_constant_growth(years=0)
         with pytest.raises(ValidationError):
             calibrate_constant_growth(target_t_end=0.5)
+        with pytest.raises(ValidationError,
+                           match="^target productivity endpoint must exceed "
+                                 "1$"):
+            calibrate_constant_growth(target_t_end=math.nan)
 
 
 CLAMP = 1.0 + 1e-12
