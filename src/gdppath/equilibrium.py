@@ -149,7 +149,8 @@ class EquilibriumPoint(TupleRecord, namedtuple("EquilibriumPoint", (
     ``WAGE_NUMERAIRE``.  The yearly solve needs no capital stock; the point
     keeps T*kappa to check the derivation's first-order condition against.
     A tuple record (``_records``) of per-sector tuples; ``outputs`` holds
-    Y_a = L_a * y_a."""
+    Y_a = L_a * y_a.  ``output_per_labor`` and ``labor`` stay in place of the
+    deleted per-labor helpers; the equilibrium and record tests read them."""
 
     __slots__ = ()
 
@@ -249,8 +250,10 @@ def allocate_labor(spec: EconomySpec, productivity_a: float) -> tuple[float, flo
 def solve_equilibrium(
     spec: EconomySpec, productivities: tuple[float, ...] | list[float]
 ) -> EquilibriumPoint:
-    """Compose capital intensity, output, prices, and labor allocation into
-    one year's equilibrium under the wage numeraire."""
+    """One year's equilibrium under the wage numeraire, checked: the entry
+    point for public callers and tests.  It refuses a productivity or T*kappa
+    that is not finite, then calls the kernel ``_solve_year``, which the
+    calibration and ``generate_panel`` call directly."""
     if len(productivities) != 2:
         raise ValidationError(
             f"expected 2 productivities, got {len(productivities)}"

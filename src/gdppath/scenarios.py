@@ -20,7 +20,6 @@ from .equilibrium import (
     EconomySpec,
     SectorParams,
     _solve_year,
-    solve_equilibrium,
 )
 from .errors import (
     CalibrationError,
@@ -281,17 +280,15 @@ def _constant_growth_path(
     taken in cancellation-free form.
     """
     t_a, t_b = 1.0, 1.0
-    (lam_a, _, c_a), (lam_b, _, c_b) = spec._sector_constants
+    (lam_a, _, _), (lam_b, _, c_b) = spec._sector_constants
     scale = spec.total_labor / spec._labor_denominator
     w_b = scale * spec.omega * lam_b
     n0 = spec.subsistence
     values_a, values_b = [t_a], [t_b]
     for _ in range(years):
-        eq = solve_equilibrium(spec, (t_a, t_b))
+        (u, _), (p_a, p_b), _, (out_a, out_b) = _solve_year(spec, t_a, t_b)
         t_b *= mult_b
-        p_a, p_b = eq.prices
-        base_value = p_a * eq.outputs[0] + p_b * eq.outputs[1]
-        u = c_a * t_a
+        base_value = p_a * out_a + p_b * out_b
         y_b = c_b * t_b
         a = p_a * scale * lam_a * u
         b = w_b * (p_a * n0 + p_b * y_b) - (1.0 + rate) * base_value

@@ -1,8 +1,15 @@
 import math
 
 import pytest
+from hypothesis import strategies as st
 
-from gdppath import ModelError, PricedPanel, default_spec
+from gdppath import (
+    EconomySpec,
+    ModelError,
+    PricedPanel,
+    SectorParams,
+    default_spec,
+)
 
 
 @pytest.fixture
@@ -51,6 +58,25 @@ def outcome(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except ModelError as exc:
         return type(exc), str(exc)
+
+
+@st.composite
+def two_sector_specs(draw):
+    """Valid two-sector economies; kappa, the capital per labor at T = 1,
+    stays below about 4e59."""
+    rate = draw(st.floats(0.0, 0.2))
+    sectors = tuple(
+        SectorParams(name, draw(st.floats(0.05, 0.95)),
+                     draw(st.floats(0.001, 0.2)))
+        for name in ("A", "B")
+    )
+    return EconomySpec(
+        sectors=sectors,
+        total_labor=draw(st.floats(1.0, 1e6)),
+        rate_of_return=rate,
+        subsistence=draw(st.floats(0.0, 5.0)),
+        omega=draw(st.floats(0.0, 10.0)),
+    )
 
 
 def bisect_root(f, lo, hi, tol=1e-12, max_iter=500):

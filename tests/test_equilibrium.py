@@ -29,7 +29,12 @@ from gdppath.equilibrium import WAGE_NUMERAIRE, _solve_year
 from gdppath.indexes import PricedPanel
 from gdppath.scenarios import ISLAND_RULES
 
-from conftest import bisect_root, golden_section_max, outcome
+from conftest import (
+    bisect_root,
+    golden_section_max,
+    outcome,
+    two_sector_specs,
+)
 
 LAM = 2.0 / 3.0
 GR = 0.11  # R_c + delta for the baseline economy
@@ -378,23 +383,6 @@ def reference_generate_panel(scenario):
         sector_names=tuple(s.name for s in spec.sectors),
         periods=tuple(periods),
         period_labels=schedule.years,
-    )
-
-
-@st.composite
-def two_sector_specs(draw):
-    rate = draw(st.floats(0.0, 0.2))
-    sectors = tuple(
-        SectorParams(name, draw(st.floats(0.05, 0.95)),
-                     draw(st.floats(0.001, 0.2)))
-        for name in ("A", "B")
-    )
-    return EconomySpec(
-        sectors=sectors,
-        total_labor=draw(st.floats(1.0, 1e6)),
-        rate_of_return=rate,
-        subsistence=draw(st.floats(0.0, 5.0)),
-        omega=draw(st.floats(0.0, 10.0)),
     )
 
 

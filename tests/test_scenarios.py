@@ -3,6 +3,8 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gdppath import (
     CalibrationError,
@@ -32,7 +34,7 @@ from gdppath.scenarios import (
     _normalize,
 )
 
-from conftest import bisect_root, outcome
+from conftest import bisect_root, outcome, two_sector_specs
 
 
 def raw_product(multiplier_fn, n_steps=98):
@@ -355,6 +357,43 @@ def bisection_multipliers(rate, mult_b, years, spec, tol=1e-15):
     return multipliers
 
 
+def checked_growth_path(rate, mult_b, years, spec):
+    """The closed-form path as it stood when each year went through the
+    checked ``solve_equilibrium``: the base value from the point's prices
+    and outputs, and u = c_A*T_A from the spec's constants."""
+    t_a, t_b = 1.0, 1.0
+    (lam_a, _, c_a), (lam_b, _, c_b) = spec._sector_constants
+    scale = spec.total_labor / spec._labor_denominator
+    w_b = scale * spec.omega * lam_b
+    n0 = spec.subsistence
+    values_a, values_b = [t_a], [t_b]
+    for _ in range(years):
+        eq = solve_equilibrium(spec, (t_a, t_b))
+        t_b *= mult_b
+        p_a, p_b = eq.prices
+        base_value = p_a * eq.outputs[0] + p_b * eq.outputs[1]
+        u = c_a * t_a
+        y_b = c_b * t_b
+        a = p_a * scale * lam_a * u
+        b = w_b * (p_a * n0 + p_b * y_b) - (1.0 + rate) * base_value
+        c = -p_b * w_b * y_b * n0 / u
+        disc = b * b - 4.0 * a * c
+        if not disc < math.inf:
+            a, b, c = a / scale, b / scale, c / scale
+            disc = b * b - 4.0 * a * c
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        m_star = q / a if q > 0.0 else (c / q if q else 0.0)
+        m_star = max(m_star, 1.0 + 1e-12)
+        t_a *= m_star
+        if not t_a < math.inf:
+            raise CalibrationError(
+                f"sector A productivity overflows at rate {rate!r}"
+            )
+        values_a.append(t_a)
+        values_b.append(t_b)
+    return values_a, values_b
+
+
 def nested_bisection_rate(target, years):
     """The whole calibration before the closed form: an outer bisection on
     the rate over the per-year bisection oracle, at the old tolerances."""
@@ -402,6 +441,23 @@ class TestClosedFormMultipliers:
     def test_same_rate_as_nested_bisection(self, target, years):
         _, rate = calibrate_constant_growth(target, years)
         assert rate == nested_bisection_rate(target, years)
+
+    @given(spec=two_sector_specs(), rate=st.floats(0.0, 1.0),
+           mult_b=st.floats(1.0, 1.3, exclude_min=True),
+           years=st.integers(1, 40))
+    @example(spec=dataclasses.replace(default_spec(), subsistence=5.0),
+             rate=0.03, mult_b=1.03, years=10)  # infeasible subsistence
+    @example(spec=dataclasses.replace(default_spec(), total_labor=1e307),
+             rate=0.15, mult_b=1.03, years=40)  # a sector's output overflows
+    @settings(max_examples=300)
+    def test_kernel_path_matches_checked_path(self, spec, rate, mult_b,
+                                              years):
+        # Within these bounds T*kappa stays finite, so the checks that
+        # solve_equilibrium adds never fire and every year's kernel solve
+        # gives the same bits and the same errors.
+        got = outcome(_constant_growth_path, rate, mult_b, years, spec)
+        want = outcome(checked_growth_path, rate, mult_b, years, spec)
+        assert repr(got) == repr(want)
 
     def test_cli_default_rate(self):
         # The rate the nested bisection gave before the closed form.
@@ -476,6 +532,19 @@ class TestCalibrationBracket:
         )
         with pytest.raises(CalibrationError, match="overflows"):
             calibrate_constant_growth(18.93, 98, spec)
+
+    @pytest.mark.parametrize("target", [1e250, 1e300])
+    def test_small_labor_force_productivity_overflow(self, target):
+        # With one worker no output overflows, so at a too-high candidate
+        # rate sector A's productivity overflows partway through the path.
+        # The checked solve used to refuse the year whose T_A*kappa_A
+        # overflows, on "k must be finite, got inf": a quantity the caller
+        # never passed.
+        spec = dataclasses.replace(default_spec(), total_labor=1.0)
+        with pytest.raises(CalibrationError) as info:
+            calibrate_constant_growth(target, 1000, spec)
+        assert str(info.value) == (
+            "sector A productivity overflows at rate 1.2")
 
     @pytest.mark.parametrize("labor", [1e150, 1e155, 1e160, 1e200, 1e250])
     def test_large_labor_force_calibrates(self, labor):
