@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .equilibrium import (
     _OUTPUT_OVERFLOW,
+    WAGE_NUMERAIRE,
     EconomySpec,
     SectorParams,
     _solve_year,
@@ -264,12 +265,11 @@ def _bisect(f, lo: float, hi: float, tol: float, max_iter: int = 200) -> float:
     )
 
 
-def _constant_growth_path(
-    rate: float, mult_b: float, years: int, spec: EconomySpec
-) -> tuple[list[float], list[float]]:
-    """Yearly productivities ``(values_a, values_b)`` from 1: sector B grows
-    by ``mult_b`` a year, and sector A so that the measured one-step
-    Laspeyres growth is ``rate`` every year.
+def _constant_growth_path(mult_b: float, years: int, spec: EconomySpec):
+    """The path function of one calibration: ``path(rate)`` gives the yearly
+    productivities ``(values_a, values_b)`` from 1: sector B grows by
+    ``mult_b`` a year, and sector A so that the measured one-step Laspeyres
+    growth is ``rate`` every year.
 
     Equilibrium output per labor is y = c*T, linear in T, so with
     u = y_A(T_A) and D = lam_A + omega*lam_B the next year's outputs are
@@ -278,43 +278,75 @@ def _constant_growth_path(
     prices, p_A*Y_A + p_B*Y_B = (1 + rate)*V is the quadratic
     a*m^2 + b*m + c = 0 with a > 0 and c <= 0, whose one non-negative root is
     taken in cancellation-free form.
+
+    Sector B's terms are computed once: T_B, y_B, P_B, P_B*y_B' and the
+    prefix -P_B*w_B*y_B'*N0 of c.  Each year restates the kernel
+    ``_solve_year``'s y = c*T, P = W/(lam*y), labor split and L*y letter
+    for letter (``test_kernel_path_matches_checked_path`` pins them), and a
+    year that fails a kernel check goes to the kernel, which raises its
+    error.  Sector B's faults grow with T_B >= 1, so they show in year 0,
+    which every path shares: the kernel raises them here, before any path.
     """
-    t_a, t_b = 1.0, 1.0
-    (lam_a, _, _), (lam_b, _, c_b) = spec._sector_constants
-    scale = spec.total_labor / spec._labor_denominator
+    (lam_a, _, c_a), (lam_b, _, c_b) = spec._sector_constants
+    total, n0 = spec.total_labor, spec.subsistence
+    omega_lam_b, denominator = spec._omega_lam_b, spec._labor_denominator
+    scale = total / denominator
     w_b = scale * spec.omega * lam_b
-    n0 = spec.subsistence
-    values_a, values_b = [t_a], [t_b]
+    inf, sqrt, copysign = math.inf, math.sqrt, math.copysign  # loop locals
+    net_b = lam_b * c_b  # lam*y in year 0, where T_B = 1
+    if not (net_b > 0.0 and WAGE_NUMERAIRE / net_b < inf):
+        _solve_year(spec, 1.0, 1.0)
+    values_b, rows = [1.0], []
     for _ in range(years):
-        (u, _), (p_a, p_b), _, (out_a, out_b) = _solve_year(spec, t_a, t_b)
-        t_b *= mult_b
-        base_value = p_a * out_a + p_b * out_b
-        y_b = c_b * t_b
-        a = p_a * scale * lam_a * u
-        b = w_b * (p_a * n0 + p_b * y_b) - (1.0 + rate) * base_value
-        c = -p_b * w_b * y_b * n0 / u
-        disc = b * b - 4.0 * a * c
-        # The root does not depend on the common factor ``scale``; divide it
-        # out only when a large labor force overflows the discriminant, so
-        # that every other path keeps its bits.
-        if not disc < math.inf:
-            a, b, c = a / scale, b / scale, c / scale
+        t_b = values_b[-1]
+        values_b.append(t_b * mult_b)
+        y_b, y_next = c_b * t_b, c_b * values_b[-1]
+        p_b = WAGE_NUMERAIRE / (lam_b * y_b)
+        rows.append((t_b, y_b, p_b, p_b * y_next, -p_b * w_b * y_next * n0))
+
+    def path(rate: float) -> tuple[list[float], list[float]]:
+        t_a, values_a, growth = 1.0, [1.0], 1.0 + rate
+        for t_b, y_b, p_b, p_b_y_next, c_prefix in rows:
+            y_a = c_a * t_a
+            net_a = lam_a * y_a
+            if net_a <= 0.0:
+                _solve_year(spec, t_a, t_b)
+            p_a = WAGE_NUMERAIRE / net_a
+            share = (lam_a + omega_lam_b * (n0 / y_a)) / denominator
+            labor_a = total * share
+            out_a, out_b = labor_a * y_a, (total - labor_a) * y_b
+            if not (p_a < inf and labor_a <= total
+                    and out_a < inf and out_b < inf):
+                _solve_year(spec, t_a, t_b)
+            base_value = p_a * out_a + p_b * out_b
+            a = p_a * scale * lam_a * y_a
+            b = w_b * (p_a * n0 + p_b_y_next) - growth * base_value
+            c = c_prefix / y_a
             disc = b * b - 4.0 * a * c
-        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-        m_star = q / a if q > 0.0 else (c / q if q else 0.0)
-        # When sector B's growth alone already beats the candidate rate, the
-        # root sits below the unit multiplier; clamp there and let the outer
-        # bisection raise the rate (the endpoint will come out short).
-        m_star = max(m_star, 1.0 + 1e-12)
-        t_a *= m_star
-        # Written so that a NaN multiplier (an overflowing quadratic) counts.
-        if not t_a < math.inf:
-            raise CalibrationError(
-                f"sector A productivity overflows at rate {rate!r}"
-            )
-        values_a.append(t_a)
-        values_b.append(t_b)
-    return values_a, values_b
+            # The root does not depend on the common factor ``scale``;
+            # divide it out only when a large labor force overflows the
+            # discriminant, so that every other path keeps its bits.
+            if not disc < inf:
+                a, b, c = a / scale, b / scale, c / scale
+                disc = b * b - 4.0 * a * c
+            q = -0.5 * (b + copysign(sqrt(disc), b))
+            m_star = q / a if q > 0.0 else (c / q if q else 0.0)
+            # When sector B's growth alone already beats the rate, the root
+            # sits below the unit multiplier; clamp there, and the outer
+            # bisection raises the rate (the endpoint comes out short).
+            if m_star < 1.0 + 1e-12:
+                m_star = 1.0 + 1e-12
+            t_a *= m_star
+            # Written so that a NaN multiplier (an overflowing quadratic)
+            # counts; the cause marks an infinite T_A, an overshoot.
+            if not t_a < inf:
+                raise CalibrationError(
+                    f"sector A productivity overflows at rate {rate!r}"
+                ) from (OverflowError() if t_a == inf else None)
+            values_a.append(t_a)
+        return values_a, values_b[:]
+
+    return path
 
 
 def calibrate_constant_growth(
@@ -354,17 +386,24 @@ def calibrate_constant_growth(
                 "not finite"
             )
     mult_b = target_t_end ** (1.0 / years)
+    path = _constant_growth_path(mult_b, years, economy)
 
     @functools.lru_cache(maxsize=None)
-    def endpoint_gap(rate: float) -> float:
-        # A path whose output overflows overshoots: its rate is too high.
+    def solved(rate: float):
+        # A path whose output or sector-A productivity overflows overshoots:
+        # its rate is too high, and its error stands in for its values.
         try:
-            values_a, _ = _constant_growth_path(rate, mult_b, years, economy)
-        except DegenerateSectorError as exc:
-            if str(exc) != _OUTPUT_OVERFLOW:
+            return path(rate)
+        except (DegenerateSectorError, CalibrationError) as exc:
+            if (str(exc) != _OUTPUT_OVERFLOW
+                    and not isinstance(exc.__cause__, OverflowError)):
                 raise
-            return math.inf
-        return values_a[-1] - target_t_end
+            return exc
+
+    def endpoint_gap(rate: float) -> float:
+        values = solved(rate)
+        return (math.inf if isinstance(values, ModelError)
+                else values[0][-1] - target_t_end)
 
     hi = 0.15
     while endpoint_gap(hi) < 0.0:
@@ -376,10 +415,10 @@ def calibrate_constant_growth(
             )
     lo = 0.0 if endpoint_gap(1e-4) > 0.0 else 1e-4
     rate = _bisect(endpoint_gap, lo, hi, tol=1e-12)
-    if endpoint_gap(rate) == math.inf:  # its path's output overflows
-        raise CalibrationError(
-            f"calibrated rate {rate!r}: {_OUTPUT_OVERFLOW}")
-    values_a, values_b = _constant_growth_path(rate, mult_b, years, economy)
+    values = solved(rate)  # solved by the bisection already
+    if isinstance(values, ModelError):  # its path overflows
+        raise CalibrationError(f"calibrated rate {rate!r}: {values}")
+    values_a, values_b = values
     # Written so that a NaN endpoint counts as a miss.
     if not abs(values_a[-1] - target_t_end) <= 1e-9 * target_t_end:
         raise CalibrationError(

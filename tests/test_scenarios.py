@@ -406,11 +406,11 @@ def nested_bisection_rate(target, years):
     )
 
 
-def assert_constant_laspeyres(schedule, rate, target):
+def assert_constant_laspeyres(schedule, rate, target, spec=None):
     assert schedule.values_a[-1] == pytest.approx(target, rel=1e-9)
     assert schedule.values_b[-1] == pytest.approx(target, rel=1e-9)
     panel = generate_panel(
-        IslandScenario("constant", default_spec(), schedule)
+        IslandScenario("constant", spec or default_spec(), schedule)
     )
     for measured in growth_series(panel, IndexMethod.LASPEYRES).rates:
         assert measured == pytest.approx(rate, abs=1e-12)
@@ -428,7 +428,7 @@ class TestClosedFormMultipliers:
         ],
     )
     def test_matches_bisection_oracle(self, spec, rate, mult_b, years):
-        values_a, _ = _constant_growth_path(rate, mult_b, years, spec)
+        values_a, _ = _constant_growth_path(mult_b, years, spec)(rate)
         got = [b / a for a, b in zip(values_a, values_a[1:])]
         want = bisection_multipliers(rate, mult_b, years, spec)
         assert len(got) == years
@@ -449,13 +449,25 @@ class TestClosedFormMultipliers:
              rate=0.03, mult_b=1.03, years=10)  # infeasible subsistence
     @example(spec=dataclasses.replace(default_spec(), total_labor=1e307),
              rate=0.15, mult_b=1.03, years=40)  # a sector's output overflows
+    # Sector B's faults, which the drawn specs never reach: c_B = 0, then
+    # c_B = 4.6e-311, whose price overflows, then the latter with sector A
+    # degenerate too, whose error comes first.
+    @example(spec=dataclasses.replace(default_spec(), sectors=(
+        default_spec().sectors[0], SectorParams("B", 0.5, 1e300))),
+        rate=0.03, mult_b=1.03, years=10)
+    @example(spec=dataclasses.replace(default_spec(), sectors=(
+        default_spec().sectors[0], SectorParams("B", 0.01, 1350.0))),
+        rate=0.03, mult_b=1.03, years=10)
+    @example(spec=dataclasses.replace(default_spec(), sectors=(
+        SectorParams("A", 0.5, 1e300), SectorParams("B", 0.01, 1350.0))),
+        rate=0.03, mult_b=1.03, years=10)
     @settings(max_examples=300)
     def test_kernel_path_matches_checked_path(self, spec, rate, mult_b,
                                               years):
         # Within these bounds T*kappa stays finite, so the checks that
-        # solve_equilibrium adds never fire and every year's kernel solve
-        # gives the same bits and the same errors.
-        got = outcome(_constant_growth_path, rate, mult_b, years, spec)
+        # solve_equilibrium adds never fire, and each year of the path, which
+        # restates the kernel, gives the same bits and the same errors.
+        got = outcome(lambda: _constant_growth_path(mult_b, years, spec)(rate))
         want = outcome(checked_growth_path, rate, mult_b, years, spec)
         assert repr(got) == repr(want)
 
@@ -522,7 +534,8 @@ class TestCalibrationBracket:
 
     def test_sector_a_overflow(self):
         # A tiny sector-A value share needs huge multipliers at the upper
-        # end of the bracket, and sector A's productivity overflows.
+        # end of the bracket, and sector A's productivity overflows; that
+        # path overshoots, and the default rate is found.
         spec = EconomySpec(
             sectors=default_spec().sectors,
             total_labor=100_000.0,
@@ -530,21 +543,21 @@ class TestCalibrationBracket:
             subsistence=1.0,
             omega=1e5,
         )
-        with pytest.raises(CalibrationError, match="overflows"):
-            calibrate_constant_growth(18.93, 98, spec)
+        schedule, rate = calibrate_constant_growth(18.93, 98, spec)
+        assert rate == 0.03046239871955931
+        assert_constant_laspeyres(schedule, rate, 18.93, spec)
 
     @pytest.mark.parametrize("target", [1e250, 1e300])
     def test_small_labor_force_productivity_overflow(self, target):
         # With one worker no output overflows, so at a too-high candidate
         # rate sector A's productivity overflows partway through the path.
-        # The checked solve used to refuse the year whose T_A*kappa_A
-        # overflows, on "k must be finite, got inf": a quantity the caller
-        # never passed.
+        # That path overshoots, so the rate is the default labor force's,
+        # bit for bit.
         spec = dataclasses.replace(default_spec(), total_labor=1.0)
-        with pytest.raises(CalibrationError) as info:
-            calibrate_constant_growth(target, 1000, spec)
-        assert str(info.value) == (
-            "sector A productivity overflows at rate 1.2")
+        schedule, rate = calibrate_constant_growth(target, 1000, spec)
+        assert rate == {1e250: 0.778279410039167,
+                        1e300: 0.9952623149688248}[target]
+        assert_constant_laspeyres(schedule, rate, target, spec)
 
     @pytest.mark.parametrize("labor", [1e150, 1e155, 1e160, 1e200, 1e250])
     def test_large_labor_force_calibrates(self, labor):
