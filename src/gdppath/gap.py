@@ -15,17 +15,13 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from ._records import TupleRecord
-from .errors import (
-    DegenerateBaseError,
-    ModelError,
-    NoSolutionError,
-    ValidationError,
-)
+from .errors import DegenerateBaseError, NoSolutionError, ValidationError
 from .indexes import (
     GrowthSeries,
     IndexMethod,
     PricedPanel,
     _NOMINAL,
+    _deflated,
     _every_rate,
     _own_price_value,
     _rate,
@@ -33,8 +29,6 @@ from .indexes import (
     _series,
     _step_table,
     _table_rates,
-    inflation,
-    real_growth,
 )
 
 REFERENCE_RULES = ("common-prices", "own-nominal")
@@ -140,19 +134,14 @@ def perspective_report(
     """Decompose one growth step into the national view (real + inflation)
     and the international view (nominal convergence in the shared unit).
 
-    Read from the panel's kept real, inflation and nominal columns."""
-    column = panel._inflations[method]
-    if 0 <= step < len(column) and (
-            (g_inf := column[step]).__class__ is float
-            or not isinstance(g_inf, ModelError)):
-        rates = panel._rates
-        return tuple.__new__(GapReport, (
-            rates[method][step], g_inf, rates[_NOMINAL][step], method))
-    # A step out of range, or one that fails: one of these two raises, the
-    # step's real growth error first, else its inflation error, which holds
-    # the step's nominal growth error ahead of its own.
-    real_growth(panel, step, method)
-    inflation(panel, step, method)
+    Read from the panel's kept real and nominal columns, in this order, so
+    that the step's real growth error comes first; inflation is the
+    deflator rule over the two."""
+    rates = panel._rates
+    g_real = _rate(rates[method], step)
+    g_nom = _rate(rates[_NOMINAL], step)
+    return tuple.__new__(GapReport, (
+        g_real, _deflated(g_nom, g_real, step), g_nom, method))
 
 
 def model_catchup(

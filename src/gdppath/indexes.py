@@ -55,17 +55,16 @@ def _check_labels(labels) -> None:
 
 
 class _Kept(dict):
-    """Columns kept on a panel by key, each built on first use as
-    ``build(source, key)``.  ``source`` is the panel's step table or its
-    kept rates, never the panel, so that no cycle keeps a panel alive."""
+    """Rate columns kept on a panel by key, each built on first use as
+    ``_table_rates(steps, key)``.  ``steps`` is the panel's step table,
+    never the panel, so that no cycle keeps a panel alive."""
 
-    def __init__(self, build, source) -> None:
+    def __init__(self, steps) -> None:
         super().__init__()
-        self.build = build
-        self.source = source
+        self.steps = steps
 
     def __missing__(self, key):
-        column = self[key] = self.build(self.source, key)
+        column = self[key] = _table_rates(self.steps, key)
         return column
 
 
@@ -138,13 +137,7 @@ class PricedPanel:
         """Real-growth columns by index method, and nominal growth's under
         ``_NOMINAL``, each built by ``_table_rates`` on first use: every
         step's rate or its error."""
-        return _Kept(_table_rates, self._steps)
-
-    @cached_property
-    def _inflations(self) -> _Kept:
-        """Deflator-inflation columns by index method, each built by
-        ``_inflation_rates`` on first use."""
-        return _Kept(_inflation_rates, self._rates)
+        return _Kept(self._steps)
 
     def quantities(self, i: int) -> tuple[float, ...]:
         return tuple(q for q, _ in self.periods[i])
@@ -361,7 +354,23 @@ def real_growth(panel: PricedPanel, step: int, method: IndexMethod) -> float:
 
 def inflation(panel: PricedPanel, step: int, method: IndexMethod) -> float:
     """Deflator-implied inflation: (1 + nominal) / (1 + real) - 1."""
-    return _rate(panel._inflations[method], step)
+    rates = panel._rates
+    return _deflated(_rate(rates[_NOMINAL], step), _rate(rates[method], step),
+                     step)
+
+
+def _deflated(g_nom, g_real, step: int) -> float:
+    """The step's deflator inflation ``(1 + g_nom) / (1 + g_real) - 1`` from
+    its nominal and real growth.  Raises for real output that falls to
+    zero, then for inflation that is not finite."""
+    if 1.0 + g_real == 0.0:
+        raise DegenerateBaseError(
+            f"real output falls to zero at period {step + 1}: "
+            "inflation is undefined")
+    rate = (1.0 + g_nom) / (1.0 + g_real) - 1.0
+    if rate < math.inf:
+        return rate
+    raise _not_finite(step)
 
 
 def _series(
@@ -423,38 +432,6 @@ def _table_rates(steps, key) -> tuple:
     if key is IndexMethod.TORNQVIST:
         return tuple(map(_tornqvist_growth, steps, count()))
     return (ValidationError(f"unknown index method {key!r}"),) * len(steps)
-
-
-def _inflation_rates(rates: _Kept, method) -> tuple:
-    """Every step's deflator inflation ``(1 + nominal) / (1 + real) - 1``
-    under ``method``, from a panel's kept nominal and real columns
-    ``rates``, or the step's error (see ``_inflation_fault``)."""
-    inf = math.inf
-    return tuple([
-        rate if (g_nom.__class__ is g_real.__class__ is float
-                 or not isinstance(g_nom, ModelError)
-                 and not isinstance(g_real, ModelError))
-        and 1.0 + g_real != 0.0
-        and (rate := (1.0 + g_nom) / (1.0 + g_real) - 1.0) < inf
-        else _inflation_fault(g_nom, g_real, step)
-        for step, g_nom, g_real in zip(count(), rates[_NOMINAL],
-                                       rates[method])
-    ])
-
-
-def _inflation_fault(g_nom, g_real, step: int) -> ModelError:
-    """The error of a step whose deflator inflation is not a finite rate:
-    its nominal growth's error first, then its real growth's, then real
-    output that falls to zero, else inflation that is not finite."""
-    if isinstance(g_nom, ModelError):
-        return g_nom
-    if isinstance(g_real, ModelError):
-        return g_real
-    if 1.0 + g_real == 0.0:
-        return DegenerateBaseError(
-            f"real output falls to zero at period {step + 1}: "
-            "inflation is undefined")
-    return _not_finite(step)
 
 
 def circularity_residual(

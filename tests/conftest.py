@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from gdppath import (
@@ -10,6 +11,11 @@ from gdppath import (
     SectorParams,
     default_spec,
 )
+
+# For a suite run under ``python -m trace``, which slows every example
+# several times over: ``--hypothesis-profile=traced`` drops the per-example
+# deadline and keeps every example count and strategy.
+settings.register_profile("traced", deadline=None)
 
 
 @pytest.fixture

@@ -1096,8 +1096,8 @@ class TestResidualFromRates:
 
 # One sector whose output falls by 1e-20 in mid-panel: every index reads a
 # real growth of exactly -1 there although every base is positive, so each
-# method's real column answers at that step and its inflation column holds
-# an error.
+# method's real column answers at that step and the deflator rule over it
+# refuses that step's inflation.
 COLLAPSE = [((1.0, 1.0),), ((2.0, 1.5),), ((2e-20, 2.0),), ((3.0, 1.0),)]
 # Prices from 1e-300 to 1e300 over a fixed quantity: real growth is 0 and
 # nominal growth overflows, so the nominal column holds an error there.
@@ -1210,6 +1210,8 @@ class TestKeptColumns:
         panel = panel_of(COLLAPSE)
         assert_same_as_oracle(panel)
         for method in ALL_METHODS:
+            # Step 1's real entry is a rate; only inflation, the deflator
+            # rule over the real and nominal columns, refuses the step.
             assert real_growth(panel, 1, method) == -1.0
             with pytest.raises(DegenerateBaseError,
                                match="^real output falls to zero at period "
@@ -1237,33 +1239,30 @@ class TestKeptColumns:
     def test_one_column_pass_per_panel_and_method(self, monkeypatch):
         builds = []
         table_rates = indexes._table_rates
-        inflation_rates = indexes._inflation_rates
 
         def counting_table_rates(steps, key):
-            builds.append(("rates", key))
+            builds.append(key)
             return table_rates(steps, key)
 
-        def counting_inflation_rates(rates, method):
-            builds.append(("inflation", method))
-            return inflation_rates(rates, method)
-
         monkeypatch.setattr(indexes, "_table_rates", counting_table_rates)
-        monkeypatch.setattr(indexes, "_inflation_rates",
-                            counting_inflation_rates)
         panel = fresh(long_panel(n_periods=30))
+        fields = {"sector_names", "periods", "period_labels"}
         for method in ALL_METHODS:
-            growth_series(panel, method)
+            queries = [(growth_series, method)]
             for step in range(panel.n_periods - 1):
-                real_growth(panel, step, method)
-                nominal_growth(panel, step)
-                inflation(panel, step, method)
-                perspective_report(panel, step, method)
-        # One real column per method, one nominal column, one inflation
-        # column per method.
+                queries += [(real_growth, step, method),
+                            (nominal_growth, step),
+                            (inflation, step, method),
+                            (perspective_report, step, method)]
+            for fn, *args in queries:
+                fn(panel, *args)
+                # Besides its fields the panel keeps only its step table
+                # and its rate columns.
+                assert vars(panel).keys() - fields == {"_steps", "_rates"}
+        # One real column per method and one nominal column; inflation is
+        # a rule over these two, with no column of its own.
         assert sorted(builds, key=repr) == sorted(
-            [("rates", method) for method in ALL_METHODS]
-            + [("rates", indexes._NOMINAL)]
-            + [("inflation", method) for method in ALL_METHODS], key=repr)
+            list(ALL_METHODS) + [indexes._NOMINAL], key=repr)
 
     def test_kept_errors_are_raised_afresh(self):
         # Each raise is a new instance with a traceback of its own call

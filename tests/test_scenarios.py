@@ -451,7 +451,9 @@ class TestClosedFormMultipliers:
              rate=0.15, mult_b=1.03, years=40)  # a sector's output overflows
     # Sector B's faults, which the drawn specs never reach: c_B = 0, then
     # c_B = 4.6e-311, whose price overflows, then the latter with sector A
-    # degenerate too, whose error comes first.
+    # degenerate too, whose error comes first; last with sector A
+    # degenerate only at T_A = 1 (c_A = 2.1e-321 > 0, but lam_A*c_A
+    # rounds to 0), so that year 0's kernel names sector A.
     @example(spec=dataclasses.replace(default_spec(), sectors=(
         default_spec().sectors[0], SectorParams("B", 0.5, 1e300))),
         rate=0.03, mult_b=1.03, years=10)
@@ -460,6 +462,9 @@ class TestClosedFormMultipliers:
         rate=0.03, mult_b=1.03, years=10)
     @example(spec=dataclasses.replace(default_spec(), sectors=(
         SectorParams("A", 0.5, 1e300), SectorParams("B", 0.01, 1350.0))),
+        rate=0.03, mult_b=1.03, years=10)
+    @example(spec=dataclasses.replace(default_spec(), sectors=(
+        SectorParams("A", 0.001, 2.037), SectorParams("B", 0.01, 1350.0))),
         rate=0.03, mult_b=1.03, years=10)
     @settings(max_examples=300)
     def test_kernel_path_matches_checked_path(self, spec, rate, mult_b,
