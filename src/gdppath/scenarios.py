@@ -265,6 +265,26 @@ def _bisect(f, lo: float, hi: float, tol: float, max_iter: int = 200) -> float:
     )
 
 
+def _estimate_root(g, lo: float, hi: float) -> tuple[float, float, float]:
+    """Illinois false position on an increasing ``g``, g(lo) < 0 < g(hi),
+    halving while g(hi) is infinite, until a step moves less than 1e-12: the
+    estimate, and the bracket its steps narrowed, ends of strict sign."""
+    g_lo, g_hi, x, side = g(lo), g(hi), hi, 0
+    for _ in range(40):
+        x, last = (0.5 * (lo + hi) if g_hi == math.inf
+                   else hi - g_hi * (hi - lo) / (g_hi - g_lo)), x
+        g_x = g(x)
+        if g_x < 0.0:  # an end kept twice in a row weighs half (Illinois)
+            lo, g_lo, g_hi = x, g_x, g_hi * (0.5 if side < 0 else 1.0)
+            side = -1
+        elif g_x > 0.0:
+            hi, g_hi, g_lo = x, g_x, g_lo * (0.5 if side > 0 else 1.0)
+            side = 1
+        if abs(x - last) < 1e-12:
+            break
+    return x, lo, hi
+
+
 def _constant_growth_path(mult_b: float, years: int, spec: EconomySpec):
     """The path function of one calibration: ``path(rate)`` gives the yearly
     productivities ``(values_a, values_b)`` from 1: sector B grows by
@@ -358,15 +378,17 @@ def calibrate_constant_growth(
 
     Sector B grows uniformly at target_t_end^(1/years); each year's sector-A
     multiplier is the closed-form root that makes the measured growth equal a
-    candidate rate, and an outer bisection on the rate pins sector A's
-    endpoint at ``target_t_end``.  The rate bracket is [1e-4, 0.15]; its upper
-    end doubles while it still falls short, up to ``MAX_CALIBRATED_RATE``,
-    and its lower end drops to 0 when the rate 1e-4 already overshoots.
-    Returns the schedule, starting in ``START_YEAR``, and the achieved
-    constant rate.  Raises
-    ``CalibrationError`` when no rate in the bracket reaches the target, the
-    bisection does not converge, or sector A's endpoint misses the target by
-    more than 1e-9 relative.
+    candidate rate, and a bisection on the rate pins sector A's endpoint at
+    ``target_t_end``.  The rate bracket is [1e-4, 0.15]; its upper end
+    doubles while it still falls short, up to ``MAX_CALIBRATED_RATE``, and
+    its lower end drops to 0 when the rate 1e-4 already overshoots.  The
+    bisection is replayed: the gap's signs at the ends of a window around an
+    estimate of the rate stand in for the paths of the midpoints outside it;
+    when they do not hold, every midpoint's path is solved.  Returns the
+    schedule, starting in ``START_YEAR``, and the achieved constant rate.
+    Raises ``CalibrationError`` when no rate in the bracket reaches the
+    target, the bisection does not converge, or sector A's endpoint misses
+    the target by more than 1e-9 relative.
     """
     if years < 1:
         raise ValidationError("years must be >= 1")
@@ -400,22 +422,33 @@ def calibrate_constant_growth(
                 raise
             return exc
 
-    def endpoint_gap(rate: float) -> float:
+    def endpoint(rate: float) -> float:
         values = solved(rate)
-        return (math.inf if isinstance(values, ModelError)
-                else values[0][-1] - target_t_end)
+        return math.inf if isinstance(values, ModelError) else values[0][-1]
 
     hi = 0.15
-    while endpoint_gap(hi) < 0.0:
+    while endpoint(hi) < target_t_end:
         hi *= 2.0
         if hi > MAX_CALIBRATED_RATE:
             raise CalibrationError(
                 f"no constant rate up to {hi / 2.0} reaches the endpoint "
                 f"{target_t_end}"
             )
-    lo = 0.0 if endpoint_gap(1e-4) > 0.0 else 1e-4
-    rate = _bisect(endpoint_gap, lo, hi, tol=1e-12)
-    values = solved(rate)  # solved by the bisection already
+    lo = 0.0 if endpoint(1e-4) > target_t_end else 1e-4
+    # _bisect branches only on signs, and the endpoint rises with the rate.
+    # Window: the estimate's bracket cut to x -+ 5e-11, ends >= 1e-13 from x
+    # (clear of rounding); the whole bracket unless both ends' signs hold.
+    w_lo, w_hi = lo, hi
+    if endpoint(lo) < target_t_end < endpoint(hi):
+        x, x_lo, x_hi = _estimate_root(  # the gap to 1e300 would cancel
+            lambda r: math.log(endpoint(r) / target_t_end), lo, hi)
+        x_lo = min(max(x_lo, x - 5e-11), x - 1e-13)
+        x_hi = max(min(x_hi, x + 5e-11), x + 1e-13)
+        if endpoint(x_lo) < target_t_end < endpoint(x_hi):
+            w_lo, w_hi = x_lo, x_hi
+    rate = _bisect(lambda r: -1.0 if lo < r <= w_lo else 1.0 if w_hi <= r < hi
+                   else endpoint(r) - target_t_end, lo, hi, tol=1e-12)
+    values = solved(rate)  # unsolved if just outside the window
     if isinstance(values, ModelError):  # its path overflows
         raise CalibrationError(f"calibrated rate {rate!r}: {values}")
     values_a, values_b = values

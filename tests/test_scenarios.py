@@ -13,6 +13,7 @@ from gdppath import (
     IndexMethod,
     InfeasibleAllocationError,
     IslandScenario,
+    ModelError,
     ProductivitySchedule,
     SectorParams,
     ValidationError,
@@ -22,15 +23,19 @@ from gdppath import (
     generate_panel,
     growth_series,
     island_scenario,
+    scenarios,
     solve_equilibrium,
 )
+from gdppath.equilibrium import _OUTPUT_OVERFLOW
 from gdppath.scenarios import (
     ISLAND_RULES,
+    MAX_CALIBRATED_RATE,
     MAX_HORIZON_YEARS,
     T_END,
     _bisect,
     _check_horizon,
     _constant_growth_path,
+    _estimate_root,
     _normalize,
 )
 
@@ -602,6 +607,173 @@ class TestCalibrationBracket:
                            match=r"^calibrated rate 0\.0\d+: a sector's "
                                  r"output L\*y overflows$"):
             calibrate_constant_growth(18.93, 98, spec)
+
+
+def plain_calibration(target, years, spec=None):
+    """The calibration before the replay, after its input checks: the plain
+    ``_bisect`` on the endpoint gap, which solves the path of every midpoint.
+    Returns the outcome, the rate and schedule values or the error's type
+    and message, and the number of paths solved."""
+    path = _constant_growth_path(target ** (1.0 / years), years,
+                                 spec or default_spec())
+    solved = {}
+
+    def gap(rate):
+        if rate not in solved:
+            try:
+                solved[rate] = path(rate)
+            except (DegenerateSectorError, CalibrationError) as exc:
+                if (str(exc) != _OUTPUT_OVERFLOW
+                        and not isinstance(exc.__cause__, OverflowError)):
+                    raise
+                solved[rate] = exc  # an overshoot
+        values = solved[rate]
+        return (math.inf if isinstance(values, ModelError)
+                else values[0][-1] - target)
+
+    def calibrate():
+        hi = 0.15
+        while gap(hi) < 0.0:
+            hi *= 2.0
+            if hi > MAX_CALIBRATED_RATE:
+                raise CalibrationError(
+                    f"no constant rate up to {hi / 2.0} reaches the "
+                    f"endpoint {target}")
+        rate = _bisect(gap, 0.0 if gap(1e-4) > 0.0 else 1e-4, hi, tol=1e-12)
+        gap(rate)
+        if isinstance(solved[rate], ModelError):
+            raise CalibrationError(f"calibrated rate {rate!r}: "
+                                   f"{solved[rate]}")
+        values_a, values_b = solved[rate]
+        if not abs(values_a[-1] - target) <= 1e-9 * target:
+            raise CalibrationError(
+                f"calibrated rate {rate!r} ends sector A at "
+                f"{values_a[-1]!r}, missing the target {target!r} by more "
+                "than 1e-9 relative")
+        return rate, tuple(values_a), tuple(values_b)
+
+    return outcome(calibrate), len(solved)
+
+
+def replayed_calibration(target, years, spec=None, estimate=None):
+    """``calibrate_constant_growth``'s outcome, as ``plain_calibration``
+    gives it, and the number of paths it solved; ``estimate`` stands in for
+    its root estimator when given."""
+    paths = []
+
+    def counted_path(*args):
+        path = _constant_growth_path(*args)
+
+        def counted(rate):
+            paths.append(rate)
+            return path(rate)
+        return counted
+
+    def calibrate():
+        schedule, rate = calibrate_constant_growth(target, years, spec)
+        return rate, schedule.values_a, schedule.values_b
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenarios, "_constant_growth_path", counted_path)
+        if estimate is not None:
+            patch.setattr(scenarios, "_estimate_root", estimate)
+        return outcome(calibrate), len(paths)
+
+
+@st.composite
+def horizons_and_targets(draw):
+    """A target (1 + g)**years for a horizon of 1 to 60 years and a yearly
+    growth g from 0.1% to 30%."""
+    years = draw(st.integers(1, 60))
+    return (1.0 + draw(st.floats(0.001, 0.3))) ** years, years
+
+
+ONE_WORKER = dataclasses.replace(default_spec(), total_labor=1.0)
+# The economy without service demand: sector A takes all the labor and all
+# the value, so the endpoint at a rate does not depend on the target.
+NO_SERVICE = dataclasses.replace(default_spec(), omega=0.0)
+
+
+class TestReplayedBisection:
+    @given(spec=two_sector_specs(), case=horizons_and_targets())
+    # Sector A's productivity overflows at the too-high rates.
+    @example(spec=ONE_WORKER, case=(1e250, 1000))
+    @example(spec=ONE_WORKER, case=(1e300, 1000))
+    @example(spec=default_spec(), case=(T_END, 98))
+    # Every path that reaches the target overflows a sector's output.
+    @example(spec=dataclasses.replace(default_spec(), total_labor=1e307),
+             case=(T_END, 98))
+    # The rate 0 hits the target: _bisect returns the bracket's end.
+    @example(spec=default_spec(), case=(1.0 + 1e-12, 1))
+    # The bracket encloses no root.
+    @example(spec=default_spec(), case=(1.0 + 1e-11, 98))
+    # The endpoint misses the target (TestNoSilentResults).
+    @example(spec=dataclasses.replace(NO_FLOOR_SPEC, omega=1e4),
+             case=(2.0, 10))
+    def test_same_outcome_as_plain_bisection(self, spec, case):
+        got, _ = replayed_calibration(*case, spec)
+        want, _ = plain_calibration(*case, spec)
+        assert repr(got) == repr(want)
+
+    @given(spec=two_sector_specs(), case=horizons_and_targets(),
+           at=st.floats(0.0, 1.0))
+    @example(spec=default_spec(), case=(T_END, 98), at=0.5)
+    def test_wrong_estimate_falls_back(self, spec, case, at):
+        # An estimate anywhere in the bracket: a window that misses the root
+        # fails its signs, and the plain bisection gives the rate.
+        def estimate(g, lo, hi):
+            return lo + at * (hi - lo), lo, hi
+        got, _ = replayed_calibration(*case, spec, estimate)
+        want, _ = plain_calibration(*case, spec)
+        assert repr(got) == repr(want)
+
+    def test_window_end_on_a_root_is_refused(self):
+        # Without service demand, target the endpoint of the twentieth
+        # midpoint m of a plain calibration: the bisection for it walks the
+        # same midpoints and returns m, whose gap is 0.0.  A window with m
+        # at its end has no strict sign there, so it is refused, and the
+        # plain bisection returns m; inside the replay's own window, m's
+        # gap is 0.0 too.
+        midpoints = []
+        path = _constant_growth_path(2.0 ** 0.1, 10, NO_SERVICE)
+        _bisect(lambda r: midpoints.append(r) or path(r)[0][-1] - 2.0,
+                1e-4, 0.15, tol=1e-12)
+        m = midpoints[21]  # after the bracket's two ends
+        target = path(m)[0][-1]
+        assert _constant_growth_path(target ** 0.1, 10,
+                                     NO_SERVICE)(m)[0] == path(m)[0]
+        want, _ = plain_calibration(target, 10, NO_SERVICE)
+        assert want[0] == m
+        assert replayed_calibration(target, 10, NO_SERVICE)[0] == want
+        got, _ = replayed_calibration(
+            target, 10, NO_SERVICE, lambda g, lo, hi: (m + 2e-13, m, hi))
+        assert got == want
+
+    def test_cli_default_path_count(self):
+        assert plain_calibration(T_END, 98)[1] == 41
+        assert replayed_calibration(T_END, 98)[1] <= 20
+
+    @pytest.mark.parametrize(
+        "target,years", [(8.0, 10), (18.93, 10), (1.001, 98), (1.0001, 98)]
+    )
+    def test_bracket_path_count(self, target, years):
+        assert (replayed_calibration(target, years)[1]
+                <= plain_calibration(target, years)[1] + 2)
+
+
+class TestEstimateRoot:
+    def test_exact_root_keeps_a_strict_bracket(self):
+        assert _estimate_root(lambda r: r - 0.5, 0.0, 1.0) == (0.5, 0.0, 1.0)
+
+    def test_halves_while_the_upper_end_is_infinite(self):
+        seen = []
+
+        def g(r):
+            seen.append(r)
+            return math.inf if r > 0.8 else r - 0.3
+        x, lo, hi = _estimate_root(g, 0.0, 1.0)
+        assert seen[2:4] == [0.5, 0.3]  # a halving step, then a secant one
+        assert lo <= x <= hi and x == pytest.approx(0.3, abs=1e-15)
 
 
 class TestNoSilentResults:
