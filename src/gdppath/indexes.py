@@ -56,14 +56,17 @@ def _check_labels(labels) -> None:
 
 class _Kept(dict):
     """Rate columns kept on a panel by key, each built on first use as
-    ``_table_rates(steps, key)``.  ``steps`` is the panel's step table,
-    never the panel, so that no cycle keeps a panel alive."""
+    ``_table_rates(steps, key)``; a key that is no index method is refused
+    and not kept.  ``steps`` is the panel's step table, never the panel, so
+    that no cycle keeps a panel alive."""
 
     def __init__(self, steps) -> None:
         super().__init__()
         self.steps = steps
 
     def __missing__(self, key):
+        if key.__class__ is not IndexMethod and key is not _NOMINAL:
+            raise ValidationError(f"unknown index method {key!r}")
         column = self[key] = _table_rates(self.steps, key)
         return column
 
@@ -420,7 +423,7 @@ _NOMINAL = object()
 def _table_rates(steps, key) -> tuple:
     """Every step's growth under the index method ``key``, or nominal
     growth's under ``_NOMINAL``, over the step table ``steps``: each step's
-    rate or its error.  Under any other key every step raises."""
+    rate or its error."""
     if key is _NOMINAL:
         return _ratio_rates(steps, 5, 2, "zero nominal GDP")
     if key is IndexMethod.LASPEYRES:
@@ -429,9 +432,7 @@ def _table_rates(steps, key) -> tuple:
         return _ratio_rates(steps, 5, 4, "zero base value")
     if key is IndexMethod.FISHER:
         return tuple(map(_fisher_growth, steps, count()))
-    if key is IndexMethod.TORNQVIST:
-        return tuple(map(_tornqvist_growth, steps, count()))
-    return (ValidationError(f"unknown index method {key!r}"),) * len(steps)
+    return tuple(map(_tornqvist_growth, steps, count()))  # TORNQVIST
 
 
 def circularity_residual(

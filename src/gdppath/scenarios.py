@@ -24,7 +24,6 @@ from .equilibrium import (
 )
 from .errors import (
     CalibrationError,
-    DegenerateSectorError,
     ModelError,
     PanelFormatError,
     ValidationError,
@@ -239,7 +238,7 @@ def generate_panel(scenario: IslandScenario) -> PricedPanel:
                                      schedule.years)
 
 
-def _bisect(f, lo: float, hi: float, tol: float, max_iter: int = 200) -> float:
+def _bisect(f, lo: float, hi: float) -> float:
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0:
         return lo
@@ -250,18 +249,18 @@ def _bisect(f, lo: float, hi: float, tol: float, max_iter: int = 200) -> float:
             f"bracket [{lo}, {hi}] does not enclose a root "
             f"(f = {f_lo:.3e}, {f_hi:.3e})"
         )
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
-        if f_mid == 0.0 or hi - lo < tol:
+        if f_mid == 0.0 or hi - lo < 1e-12:
             return mid
         if f_lo * f_mid < 0.0:
             hi, f_hi = mid, f_mid
         else:
             lo, f_lo = mid, f_mid
     raise CalibrationError(
-        f"bisection did not converge in {max_iter} steps: "
-        f"root in [{lo!r}, {hi!r}], wider than {tol}"
+        "bisection did not converge in 200 steps: "
+        f"root in [{lo!r}, {hi!r}], wider than 1e-12"
     )
 
 
@@ -300,12 +299,15 @@ def _constant_growth_path(mult_b: float, years: int, spec: EconomySpec):
     taken in cancellation-free form.
 
     Sector B's terms are computed once: T_B, y_B, P_B, P_B*y_B' and the
-    prefix -P_B*w_B*y_B'*N0 of c.  Each year restates the kernel
-    ``_solve_year``'s y = c*T, P = W/(lam*y), labor split and L*y letter
-    for letter (``test_kernel_path_matches_checked_path`` pins them), and a
-    year that fails a kernel check goes to the kernel, which raises its
-    error.  Sector B's faults grow with T_B >= 1, so they show in year 0,
-    which every path shares: the kernel raises them here, before any path.
+    prefix -P_B*w_B*y_B'*N0 of c.  Year 0, which every path shares, goes
+    through the kernel ``_solve_year`` once, here, which raises its error.
+    After it T_A and T_B only rise, so y rises and P_A and L_A fall: of
+    the kernel's checks only an output L*y can newly fail.  Each year
+    restates the kernel's y = c*T, P = W/(lam*y), labor split and L*y
+    letter for letter (``test_kernel_path_matches_checked_path`` pins
+    them).  A path whose output or sector-A productivity overflows
+    overshoots: its rate is too high, and it returns the reason instead of
+    its values.
     """
     (lam_a, _, c_a), (lam_b, _, c_b) = spec._sector_constants
     total, n0 = spec.total_labor, spec.subsistence
@@ -313,31 +315,25 @@ def _constant_growth_path(mult_b: float, years: int, spec: EconomySpec):
     scale = total / denominator
     w_b = scale * spec.omega * lam_b
     inf, sqrt, copysign = math.inf, math.sqrt, math.copysign  # loop locals
-    net_b = lam_b * c_b  # lam*y in year 0, where T_B = 1
-    if not (net_b > 0.0 and WAGE_NUMERAIRE / net_b < inf):
-        _solve_year(spec, 1.0, 1.0)
+    _solve_year(spec, 1.0, 1.0)
     values_b, rows = [1.0], []
     for _ in range(years):
         t_b = values_b[-1]
         values_b.append(t_b * mult_b)
         y_b, y_next = c_b * t_b, c_b * values_b[-1]
         p_b = WAGE_NUMERAIRE / (lam_b * y_b)
-        rows.append((t_b, y_b, p_b, p_b * y_next, -p_b * w_b * y_next * n0))
+        rows.append((y_b, p_b, p_b * y_next, -p_b * w_b * y_next * n0))
 
-    def path(rate: float) -> tuple[list[float], list[float]]:
+    def path(rate: float) -> tuple[list[float], list[float]] | str:
         t_a, values_a, growth = 1.0, [1.0], 1.0 + rate
-        for t_b, y_b, p_b, p_b_y_next, c_prefix in rows:
+        for y_b, p_b, p_b_y_next, c_prefix in rows:
             y_a = c_a * t_a
-            net_a = lam_a * y_a
-            if net_a <= 0.0:
-                _solve_year(spec, t_a, t_b)
-            p_a = WAGE_NUMERAIRE / net_a
+            p_a = WAGE_NUMERAIRE / (lam_a * y_a)
             share = (lam_a + omega_lam_b * (n0 / y_a)) / denominator
             labor_a = total * share
             out_a, out_b = labor_a * y_a, (total - labor_a) * y_b
-            if not (p_a < inf and labor_a <= total
-                    and out_a < inf and out_b < inf):
-                _solve_year(spec, t_a, t_b)
+            if not (out_a < inf and out_b < inf):
+                return _OUTPUT_OVERFLOW
             base_value = p_a * out_a + p_b * out_b
             a = p_a * scale * lam_a * y_a
             b = w_b * (p_a * n0 + p_b_y_next) - growth * base_value
@@ -357,12 +353,11 @@ def _constant_growth_path(mult_b: float, years: int, spec: EconomySpec):
             if m_star < 1.0 + 1e-12:
                 m_star = 1.0 + 1e-12
             t_a *= m_star
-            # Written so that a NaN multiplier (an overflowing quadratic)
-            # counts; the cause marks an infinite T_A, an overshoot.
-            if not t_a < inf:
-                raise CalibrationError(
-                    f"sector A productivity overflows at rate {rate!r}"
-                ) from (OverflowError() if t_a == inf else None)
+            if not t_a < inf:  # NaN too: an overflowing quadratic raises
+                reason = f"sector A productivity overflows at rate {rate!r}"
+                if t_a == inf:
+                    return reason
+                raise CalibrationError(reason)
             values_a.append(t_a)
         return values_a, values_b[:]
 
@@ -381,14 +376,17 @@ def calibrate_constant_growth(
     candidate rate, and a bisection on the rate pins sector A's endpoint at
     ``target_t_end``.  The rate bracket is [1e-4, 0.15]; its upper end
     doubles while it still falls short, up to ``MAX_CALIBRATED_RATE``, and
-    its lower end drops to 0 when the rate 1e-4 already overshoots.  The
-    bisection is replayed: the gap's signs at the ends of a window around an
-    estimate of the rate stand in for the paths of the midpoints outside it;
-    when they do not hold, every midpoint's path is solved.  Returns the
-    schedule, starting in ``START_YEAR``, and the achieved constant rate.
-    Raises ``CalibrationError`` when no rate in the bracket reaches the
-    target, the bisection does not converge, or sector A's endpoint misses
-    the target by more than 1e-9 relative.
+    its lower end drops to 0 when the rate 1e-4 already overshoots.  Year
+    0's equilibrium goes through the kernel once, which raises its error; a
+    path that overflows returns its reason, an overshoot, which reads as an
+    infinite endpoint.  The bisection is replayed: the gap's signs at the
+    ends of a window around an estimate of the rate stand in for the paths
+    of the midpoints outside it; when they do not hold, every midpoint's
+    path is solved.  Returns the schedule, starting in ``START_YEAR``, and
+    the achieved constant rate.  Raises ``CalibrationError`` when no rate in
+    the bracket reaches the target, the bisection does not converge, the
+    converged rate's path overflows, or sector A's endpoint misses the
+    target by more than 1e-9 relative.
     """
     if years < 1:
         raise ValidationError("years must be >= 1")
@@ -408,23 +406,12 @@ def calibrate_constant_growth(
                 "not finite"
             )
     mult_b = target_t_end ** (1.0 / years)
-    path = _constant_growth_path(mult_b, years, economy)
-
-    @functools.lru_cache(maxsize=None)
-    def solved(rate: float):
-        # A path whose output or sector-A productivity overflows overshoots:
-        # its rate is too high, and its error stands in for its values.
-        try:
-            return path(rate)
-        except (DegenerateSectorError, CalibrationError) as exc:
-            if (str(exc) != _OUTPUT_OVERFLOW
-                    and not isinstance(exc.__cause__, OverflowError)):
-                raise
-            return exc
+    solved = functools.lru_cache(maxsize=None)(
+        _constant_growth_path(mult_b, years, economy))
 
     def endpoint(rate: float) -> float:
-        values = solved(rate)
-        return math.inf if isinstance(values, ModelError) else values[0][-1]
+        values = solved(rate)  # an overshoot's reason reads as inf
+        return math.inf if isinstance(values, str) else values[0][-1]
 
     hi = 0.15
     while endpoint(hi) < target_t_end:
@@ -447,9 +434,9 @@ def calibrate_constant_growth(
         if endpoint(x_lo) < target_t_end < endpoint(x_hi):
             w_lo, w_hi = x_lo, x_hi
     rate = _bisect(lambda r: -1.0 if lo < r <= w_lo else 1.0 if w_hi <= r < hi
-                   else endpoint(r) - target_t_end, lo, hi, tol=1e-12)
+                   else endpoint(r) - target_t_end, lo, hi)
     values = solved(rate)  # unsolved if just outside the window
-    if isinstance(values, ModelError):  # its path overflows
+    if isinstance(values, str):  # its path overflows
         raise CalibrationError(f"calibrated rate {rate!r}: {values}")
     values_a, values_b = values
     # Written so that a NaN endpoint counts as a miss.

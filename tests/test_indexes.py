@@ -494,9 +494,13 @@ def oracle_step_growth(entry, method, step):
         if root == math.inf:  # the product overflowed; its root may not
             root = math.sqrt(1.0 + g_l) * math.sqrt(1.0 + g_p)
         return oracle_finite_growth(root - 1.0, step)
-    if method is IndexMethod.TORNQVIST:
-        return oracle_tornqvist_growth(entry, step)
-    raise ValidationError(f"unknown index method {method!r}")
+    return oracle_tornqvist_growth(entry, step)  # TORNQVIST
+
+
+def oracle_known_method(method):
+    # Real growth refuses an unknown method before it reads the step.
+    if method not in ALL_METHODS:
+        raise ValidationError(f"unknown index method {method!r}")
 
 
 def oracle_tornqvist_growth(entry, step):
@@ -533,6 +537,7 @@ def oracle_entry(panel, step):
 
 
 def oracle_real_growth(panel, step, method):
+    oracle_known_method(method)
     return oracle_step_growth(oracle_entry(panel, step), method, step)
 
 
@@ -589,6 +594,7 @@ def oracle_series(panel, rates, geometric_average):
 def oracle_rates(panel, method):
     """Every step's real growth under ``method``; the first failing step
     raises."""
+    oracle_known_method(method)
     periods = panel.periods
     return [oracle_step_growth(oracle_step_entry(period0, period1), method,
                                step)
@@ -667,8 +673,8 @@ def assert_same(fn, *args):
     assert repr(outcome(fn, *args)) == repr(outcome(ORACLE[fn], *args))
 
 
-# Two index methods that are not ``IndexMethod`` members: every step under
-# them raises ``ValidationError``.
+# Two index methods that are not ``IndexMethod`` members: each is refused
+# with ``ValidationError`` before a step or entry is looked at.
 NOT_METHODS = ["fisher", None]
 METHODS = ALL_METHODS + NOT_METHODS
 # Each per-step function with its index method, if it takes one.
@@ -1308,6 +1314,7 @@ class TestKeptColumns:
                     fn(panel, 2, method)
             with pytest.raises(ValidationError, match=message):
                 growth_series(panel, method)
+            assert method not in panel._rates  # refused, not kept
 
     def test_index_methods_hash_by_identity(self):
         assert IndexMethod.__hash__ is object.__hash__

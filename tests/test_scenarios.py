@@ -13,7 +13,6 @@ from gdppath import (
     IndexMethod,
     InfeasibleAllocationError,
     IslandScenario,
-    ModelError,
     ProductivitySchedule,
     SectorParams,
     ValidationError,
@@ -454,6 +453,10 @@ class TestClosedFormMultipliers:
              rate=0.03, mult_b=1.03, years=10)  # infeasible subsistence
     @example(spec=dataclasses.replace(default_spec(), total_labor=1e307),
              rate=0.15, mult_b=1.03, years=40)  # a sector's output overflows
+    # T_A overflows to inf; with kappa < 1, T*kappa stays finite until then.
+    @example(spec=dataclasses.replace(default_spec(), total_labor=1.0,
+                                      rate_of_return=0.3, subsistence=0.5),
+             rate=1.0, mult_b=1.03, years=1000)
     # Sector B's faults, which the drawn specs never reach: c_B = 0, then
     # c_B = 4.6e-311, whose price overflows, then the latter with sector A
     # degenerate too, whose error comes first; last with sector A
@@ -476,14 +479,28 @@ class TestClosedFormMultipliers:
                                               years):
         # Within these bounds T*kappa stays finite, so the checks that
         # solve_equilibrium adds never fire, and each year of the path, which
-        # restates the kernel, gives the same bits and the same errors.
+        # restates the kernel, gives the same bits and the same errors.  The
+        # path returns an overshoot's reason where the checked loop raises.
         got = outcome(lambda: _constant_growth_path(mult_b, years, spec)(rate))
+        if isinstance(got, str):
+            got = (DegenerateSectorError if got == _OUTPUT_OVERFLOW
+                   else CalibrationError), got
         want = outcome(checked_growth_path, rate, mult_b, years, spec)
         assert repr(got) == repr(want)
 
     def test_cli_default_rate(self):
         # The rate the nested bisection gave before the closed form.
         assert calibrate_constant_growth()[1] == 0.03046239871955931
+
+    @pytest.mark.parametrize("args", [(), (8.0, 10)])
+    def test_one_kernel_call_per_calibration(self, monkeypatch, args):
+        # Year 0 goes through the kernel once; no path calls it.
+        calls = []
+        solve_year = scenarios._solve_year
+        monkeypatch.setattr(scenarios, "_solve_year",
+                            lambda *a: calls.append(a) or solve_year(*a))
+        calibrate_constant_growth(*args)
+        assert len(calls) == 1
 
 
 class TestCalibrationBracket:
@@ -587,6 +604,14 @@ class TestCalibrationBracket:
         _, rate = calibrate_constant_growth(18.93, 98, spec)
         assert rate == 0.03046239871955931
 
+    def test_year_zero_output_overflows(self):
+        # Year 0, which every path shares, overflows a sector's output: the
+        # kernel raises before any path is solved, as generate_panel does.
+        spec = dataclasses.replace(default_spec(), total_labor=1.5e308)
+        with pytest.raises(DegenerateSectorError,
+                           match=r"^a sector's output L\*y overflows$"):
+            calibrate_constant_growth(18.93, 98, spec)
+
     def test_degenerate_sector_is_no_overshoot(self):
         # Only an overflowing output counts as an overshoot: a sector whose
         # output per labor underflows to zero fails every path as before.
@@ -614,24 +639,19 @@ def plain_calibration(target, years, spec=None):
     ``_bisect`` on the endpoint gap, which solves the path of every midpoint.
     Returns the outcome, the rate and schedule values or the error's type
     and message, and the number of paths solved."""
-    path = _constant_growth_path(target ** (1.0 / years), years,
-                                 spec or default_spec())
     solved = {}
 
-    def gap(rate):
-        if rate not in solved:
-            try:
-                solved[rate] = path(rate)
-            except (DegenerateSectorError, CalibrationError) as exc:
-                if (str(exc) != _OUTPUT_OVERFLOW
-                        and not isinstance(exc.__cause__, OverflowError)):
-                    raise
-                solved[rate] = exc  # an overshoot
-        values = solved[rate]
-        return (math.inf if isinstance(values, ModelError)
-                else values[0][-1] - target)
-
     def calibrate():
+        path = _constant_growth_path(target ** (1.0 / years), years,
+                                     spec or default_spec())
+
+        def gap(rate):
+            if rate not in solved:
+                solved[rate] = path(rate)
+            values = solved[rate]  # an overshoot's reason, or the values
+            return (math.inf if isinstance(values, str)
+                    else values[0][-1] - target)
+
         hi = 0.15
         while gap(hi) < 0.0:
             hi *= 2.0
@@ -639,9 +659,9 @@ def plain_calibration(target, years, spec=None):
                 raise CalibrationError(
                     f"no constant rate up to {hi / 2.0} reaches the "
                     f"endpoint {target}")
-        rate = _bisect(gap, 0.0 if gap(1e-4) > 0.0 else 1e-4, hi, tol=1e-12)
+        rate = _bisect(gap, 0.0 if gap(1e-4) > 0.0 else 1e-4, hi)
         gap(rate)
-        if isinstance(solved[rate], ModelError):
+        if isinstance(solved[rate], str):
             raise CalibrationError(f"calibrated rate {rate!r}: "
                                    f"{solved[rate]}")
         values_a, values_b = solved[rate]
@@ -737,7 +757,7 @@ class TestReplayedBisection:
         midpoints = []
         path = _constant_growth_path(2.0 ** 0.1, 10, NO_SERVICE)
         _bisect(lambda r: midpoints.append(r) or path(r)[0][-1] - 2.0,
-                1e-4, 0.15, tol=1e-12)
+                1e-4, 0.15)
         m = midpoints[21]  # after the bracket's two ends
         target = path(m)[0][-1]
         assert _constant_growth_path(target ** 0.1, 10,
@@ -779,11 +799,15 @@ class TestEstimateRoot:
 class TestNoSilentResults:
     @pytest.mark.parametrize("root", [0.0, 1.0])
     def test_bisect_returns_a_root_at_an_end(self, root):
-        assert _bisect(lambda x: x - root, 0.0, 1.0, tol=1e-12) == root
+        assert _bisect(lambda x: x - root, 0.0, 1.0) == root
 
     def test_bisect_raises_when_out_of_steps(self):
-        with pytest.raises(CalibrationError, match="did not converge"):
-            _bisect(lambda x: x - 0.3, 0.0, 1.0, tol=1e-12, max_iter=10)
+        # 200 halvings of 1e60 leave a bracket wider than 1e-12.
+        with pytest.raises(CalibrationError) as info:
+            _bisect(lambda x: x - 0.3, 0.0, 1e60)
+        assert str(info.value) == (
+            "bisection did not converge in 200 steps: root in "
+            "[0.0, 0.6223015277861141], wider than 1e-12")
 
     def test_endpoint_miss_raises(self):
         # With no subsistence floor and omega = 1e4, sector A holds about
