@@ -51,9 +51,10 @@ _ISLAND_STEPS = {
 ISLAND_RULES = tuple(_ISLAND_STEPS)
 
 
+@functools.cache
 def default_spec() -> EconomySpec:
-    """The baseline two-sector economy: lam = 2/3, delta = R_c = 5.5%,
-    L_t = 100000, N0 = 1.6711, omega = 5."""
+    """The baseline two-sector economy, built once (it is frozen): lam = 2/3,
+    delta = R_c = 5.5%, L_t = 100000, N0 = 1.6711, omega = 5."""
     return EconomySpec(
         sectors=(
             SectorParams("A", 2.0 / 3.0, 0.055),
@@ -380,11 +381,13 @@ def calibrate_constant_growth(
     0's equilibrium goes through the kernel once, which raises its error; a
     path that overflows returns its reason, an overshoot, which reads as an
     infinite endpoint.  The bisection is replayed: the gap's signs at the
-    ends of a window around an estimate of the rate stand in for the paths
-    of the midpoints outside it; when they do not hold, every midpoint's
-    path is solved.  Returns the schedule, starting in ``START_YEAR``, and
-    the achieved constant rate.  Raises ``CalibrationError`` when no rate in
-    the bracket reaches the target, the bisection does not converge, the
+    ends of a window stand in for the paths of the midpoints outside it.
+    The window is the guess target_t_end^(1/years) - 1 -+ 1e-13, the root
+    when both sectors are identical; else around an estimate of the rate,
+    which starts beyond the guess's end of wrong sign; else that end alone,
+    if any.  Returns the schedule, starting in ``START_YEAR``, and the
+    achieved constant rate.  Raises ``CalibrationError`` when no rate in the
+    bracket reaches the target, the bisection does not converge, the
     converged rate's path overflows, or sector A's endpoint misses the
     target by more than 1e-9 relative.
     """
@@ -423,12 +426,22 @@ def calibrate_constant_growth(
             )
     lo = 0.0 if endpoint(1e-4) > target_t_end else 1e-4
     # _bisect branches only on signs, and the endpoint rises with the rate.
-    # Window: the estimate's bracket cut to x -+ 5e-11, ends >= 1e-13 from x
-    # (clear of rounding); the whole bracket unless both ends' signs hold.
+    # Window: the guess mult_b - 1 -+ 1e-13 if both ends' signs hold; an end
+    # above the target, or one below it, bounds the window on its side.
+    # Else the estimate's bracket in it cut to x -+ 5e-11, ends >= 1e-13
+    # from x (clear of rounding), if both ends' signs hold.
     w_lo, w_hi = lo, hi
-    if endpoint(lo) < target_t_end < endpoint(hi):
+    g_lo, g_hi = mult_b - 1.0 - 1e-13, mult_b - 1.0 + 1e-13
+    if lo < g_lo and g_hi < hi:
+        if endpoint(g_lo) > target_t_end:
+            w_hi = g_lo
+        elif endpoint(g_hi) < target_t_end:
+            w_lo = g_hi
+        elif endpoint(g_lo) < target_t_end < endpoint(g_hi):
+            w_lo, w_hi = g_lo, g_hi
+    if w_lo != g_lo and endpoint(w_lo) < target_t_end < endpoint(w_hi):
         x, x_lo, x_hi = _estimate_root(  # the gap to 1e300 would cancel
-            lambda r: math.log(endpoint(r) / target_t_end), lo, hi)
+            lambda r: math.log(endpoint(r) / target_t_end), w_lo, w_hi)
         x_lo = min(max(x_lo, x - 5e-11), x - 1e-13)
         x_hi = max(min(x_hi, x + 5e-11), x + 1e-13)
         if endpoint(x_lo) < target_t_end < endpoint(x_hi):

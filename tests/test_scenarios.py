@@ -3,7 +3,7 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gdppath import (
@@ -708,10 +708,37 @@ def horizons_and_targets(draw):
     return (1.0 + draw(st.floats(0.001, 0.3))) ** years, years
 
 
+@st.composite
+def identical_sector_specs(draw):
+    """Valid economies whose two sectors share one elasticity and one
+    depreciation; the rest is drawn as ``two_sector_specs()`` draws it."""
+    rate = draw(st.floats(0.0, 0.2))
+    sector = draw(st.floats(0.05, 0.95)), draw(st.floats(0.001, 0.2))
+    return EconomySpec(
+        sectors=(SectorParams("A", *sector), SectorParams("B", *sector)),
+        total_labor=draw(st.floats(1.0, 1e6)),
+        rate_of_return=rate,
+        subsistence=draw(st.floats(0.0, 5.0)),
+        omega=draw(st.floats(0.0, 10.0)),
+    )
+
+
+def with_elasticities(lam_a, lam_b):
+    return dataclasses.replace(default_spec(), sectors=(
+        SectorParams("A", lam_a, 0.055), SectorParams("B", lam_b, 0.055)))
+
+
+def guess(target, years):
+    """The calibration's first window is this rate -+ 1e-13."""
+    return target ** (1.0 / years) - 1.0
+
+
 ONE_WORKER = dataclasses.replace(default_spec(), total_labor=1.0)
-# The economy without service demand: sector A takes all the labor and all
-# the value, so the endpoint at a rate does not depend on the target.
-NO_SERVICE = dataclasses.replace(default_spec(), omega=0.0)
+# Sectors that differ, so that the guess misses: at the CLI default's target
+# the root lies below it with the smaller lam_A, above it with the smaller
+# lam_B.
+LAMBDA_A_HALF = with_elasticities(0.5, 2.0 / 3.0)
+LAMBDA_B_HALF = with_elasticities(2.0 / 3.0, 0.5)
 
 
 class TestReplayedBisection:
@@ -735,9 +762,17 @@ class TestReplayedBisection:
         want, _ = plain_calibration(*case, spec)
         assert repr(got) == repr(want)
 
+    @given(spec=identical_sector_specs(), case=horizons_and_targets())
+    def test_identical_sectors_same_outcome_as_plain_bisection(self, spec,
+                                                               case):
+        # two_sector_specs() almost never draws these, whose guess is exact.
+        got, _ = replayed_calibration(*case, spec)
+        want, _ = plain_calibration(*case, spec)
+        assert repr(got) == repr(want)
+
     @given(spec=two_sector_specs(), case=horizons_and_targets(),
            at=st.floats(0.0, 1.0))
-    @example(spec=default_spec(), case=(T_END, 98), at=0.5)
+    @example(spec=LAMBDA_A_HALF, case=(T_END, 98), at=0.5)
     def test_wrong_estimate_falls_back(self, spec, case, at):
         # An estimate anywhere in the bracket: a window that misses the root
         # fails its signs, and the plain bisection gives the rate.
@@ -748,30 +783,33 @@ class TestReplayedBisection:
         assert repr(got) == repr(want)
 
     def test_window_end_on_a_root_is_refused(self):
-        # Without service demand, target the endpoint of the twentieth
-        # midpoint m of a plain calibration: the bisection for it walks the
-        # same midpoints and returns m, whose gap is 0.0.  A window with m
-        # at its end has no strict sign there, so it is refused, and the
-        # plain bisection returns m; inside the replay's own window, m's
-        # gap is 0.0 too.
-        midpoints = []
-        path = _constant_growth_path(2.0 ** 0.1, 10, NO_SERVICE)
-        _bisect(lambda r: midpoints.append(r) or path(r)[0][-1] - 2.0,
-                1e-4, 0.15)
-        m = midpoints[21]  # after the bracket's two ends
-        target = path(m)[0][-1]
-        assert _constant_growth_path(target ** 0.1, 10,
-                                     NO_SERVICE)(m)[0] == path(m)[0]
-        want, _ = plain_calibration(target, 10, NO_SERVICE)
-        assert want[0] == m
-        assert replayed_calibration(target, 10, NO_SERVICE)[0] == want
+        # A target whose plain bisection exits on an exact zero at a
+        # midpoint m (found by a search over targets near 2.0, 10 years):
+        # the endpoint of m's path is the target itself.  The guess misses,
+        # so the estimator runs.  A window with m at its end has no strict
+        # sign there, so it is refused, and the plain bisection returns m;
+        # inside the replay's own window, m's gap is 0.0 too.
+        target = 2.000000993571397
+        want, _ = plain_calibration(target, 10, LAMBDA_A_HALF)
+        m = want[0]
+        path = _constant_growth_path(target ** 0.1, 10, LAMBDA_A_HALF)
+        assert path(m)[0][-1] == target and m < guess(target, 10) - 1e-13
+        assert replayed_calibration(target, 10, LAMBDA_A_HALF)[0] == want
+        estimates = []
         got, _ = replayed_calibration(
-            target, 10, NO_SERVICE, lambda g, lo, hi: (m + 2e-13, m, hi))
-        assert got == want
+            target, 10, LAMBDA_A_HALF,
+            lambda g, lo, hi: estimates.append(m) or (m + 2e-13, m, hi))
+        assert got == want and estimates == [m]
 
     def test_cli_default_path_count(self):
         assert plain_calibration(T_END, 98)[1] == 41
-        assert replayed_calibration(T_END, 98)[1] <= 20
+        assert replayed_calibration(T_END, 98)[1] <= 6
+
+    @given(years=st.integers(8, 12), growth=st.floats(0.03, 0.08))
+    def test_workload_path_count(self, years, growth):
+        # The benchmark's calibrations: the default economy, 8-12 years,
+        # 3-8% a year.
+        assert replayed_calibration((1.0 + growth) ** years, years)[1] <= 6
 
     @pytest.mark.parametrize(
         "target,years", [(8.0, 10), (18.93, 10), (1.001, 98), (1.0001, 98)]
@@ -779,6 +817,125 @@ class TestReplayedBisection:
     def test_bracket_path_count(self, target, years):
         assert (replayed_calibration(target, years)[1]
                 <= plain_calibration(target, years)[1] + 2)
+
+
+def estimator_brackets(target, years, spec):
+    """The brackets the replay's root estimator started on; the replay's
+    outcome must be the plain bisection's."""
+    brackets = []
+
+    def estimate(g, lo, hi):
+        brackets.append((lo, hi))
+        return _estimate_root(g, lo, hi)
+    got, _ = replayed_calibration(target, years, spec, estimate)
+    assert repr(got) == repr(plain_calibration(target, years, spec)[0])
+    return brackets
+
+
+class TestGuessWindow:
+    # The guess's window comes first: certified, it is the window; with an
+    # end on the wrong side, the estimator starts beyond that end.
+    @pytest.mark.parametrize("target,years", [(T_END, 98), (8.0, 10)])
+    def test_certified_guess_needs_no_estimate(self, target, years):
+        assert estimator_brackets(target, years, default_spec()) == []
+
+    def test_guess_above_the_root(self):
+        g = guess(T_END, 98)
+        assert estimator_brackets(T_END, 98, LAMBDA_A_HALF) == [
+            (1e-4, g - 1e-13)]
+
+    def test_guess_below_the_root(self):
+        g = guess(T_END, 98)
+        assert estimator_brackets(T_END, 98, LAMBDA_B_HALF) == [
+            (g + 1e-13, 0.15)]
+
+    def test_guess_end_outlives_a_wrong_estimate(self):
+        # The estimate's window misses the root and is refused, but the
+        # guess's lower end, above the target, still signs every midpoint
+        # above it: fewer paths than the plain bisection, despite the
+        # guess's probe, the estimate and its window's two ends.
+        got, paths = replayed_calibration(
+            T_END, 98, LAMBDA_A_HALF,
+            lambda g, lo, hi: (0.5 * (lo + hi), lo, hi))
+        want, plain = plain_calibration(T_END, 98, LAMBDA_A_HALF)
+        assert repr(got) == repr(want) and paths < plain
+
+    def test_guess_outside_the_bracket(self):
+        # The guess 0.16 lies above the bracket's end 0.15, the root below.
+        assert guess(1.16, 1) > 0.15
+        assert estimator_brackets(1.16, 1, LAMBDA_A_HALF) == [(1e-4, 0.15)]
+
+    def test_window_end_on_a_root_is_refused(self):
+        # Sectors a hair apart put the root on the guess window's lower end
+        # (lam_B and the target found by a search): that end is also a
+        # midpoint of the plain bisection, which exits there on an exact
+        # zero.  So the window is refused, the estimator runs on the whole
+        # bracket, and the replay returns the same midpoint.
+        spec = with_elasticities(2.0 / 3.0, 0.666666666669162)
+        target = 1.4802443357365291
+        want, _ = plain_calibration(target, 10, spec)
+        path = _constant_growth_path(target ** 0.1, 10, spec)
+        assert want[0] == guess(target, 10) - 1e-13
+        assert path(want[0])[0][-1] == target
+        assert estimator_brackets(target, 10, spec) == [(1e-4, 0.15)]
+
+
+class TestNoCurvatureOnTheDiagonal:
+    # The "no curvature on the diagonal" case.  With one elasticity and one
+    # depreciation, c_A = c_B, and with T_A = T_B both sectors have one
+    # output per labor and one price: the relative price never moves.  In
+    # the Divisia 1-form theta = f(x) dx + g(x) dz (x = ln T_A, z = ln T_B),
+    # k = omega makes S = 1 + omega and f + g = 1, so on the diagonal
+    # theta = dx: the chained index is the productivity growth, with no
+    # index-number drift (Hulten 1973, Econometrica 41(6)).  So the
+    # calibration's root is the guess target**(1/years) - 1.
+    @given(spec=identical_sector_specs(), case=horizons_and_targets())
+    @example(spec=default_spec(), case=(T_END, 98))
+    def test_rate_is_the_closed_form(self, spec, case):
+        got = outcome(calibrate_constant_growth, *case, spec)
+        assume(isinstance(got[0], ProductivitySchedule))
+        schedule, rate = got
+        # _bisect returns a midpoint within its tolerance 1e-12 of the
+        # endpoint's sign change, and that sign change and the guess each
+        # round within a few ulps (about 1e-16) of the exact root.  So 2e-12
+        # leaves 1e-12 for the rounding.
+        assert abs(rate - guess(*case)) <= 2e-12
+        # Per step, Laspeyres minus Paasche is about s_A*s_B times the change
+        # of ln(p_A/p_B) times that of ln(Y_A/Y_B).  Here s_A is also the
+        # growth's elasticity to m_A, so the first is ln(m_B/m_A), about
+        # (guess - rate)/s_A; and s_B times the second is below ln(1.3), the
+        # largest yearly rise of ln y, since Y_A/Y_B moves only with N0/y.
+        # So the gap is below 0.27*2e-12, plus a few ulps of rounding.
+        panel = generate_panel(IslandScenario("constant", spec, schedule))
+        laspeyres = growth_series(panel, IndexMethod.LASPEYRES).rates
+        paasche = growth_series(panel, IndexMethod.PAASCHE).rates
+        assert len(laspeyres) == len(paasche) == case[1]
+        for step_l, step_p in zip(laspeyres, paasche):
+            assert abs(step_l - step_p) <= 1e-12
+
+
+class TestDefaultSpec:
+    FRESH = EconomySpec(
+        sectors=(SectorParams("A", 2.0 / 3.0, 0.055),
+                 SectorParams("B", 2.0 / 3.0, 0.055)),
+        total_labor=100_000.0, rate_of_return=0.055, subsistence=1.6711,
+        omega=5.0,
+    )
+
+    def test_built_once(self):
+        assert default_spec() is default_spec()
+
+    def test_equals_a_fresh_build(self):
+        spec = default_spec()
+        assert spec == self.FRESH and hash(spec) == hash(self.FRESH)
+        assert repr(spec) == repr(self.FRESH)
+        assert spec._sector_constants == self.FRESH._sector_constants
+
+    def test_replace_leaves_it_unchanged(self):
+        other = dataclasses.replace(default_spec(), omega=1.0)
+        assert other is not default_spec() and other.omega == 1.0
+        assert default_spec().omega == 5.0
+        assert repr(default_spec()) == repr(self.FRESH)
 
 
 class TestEstimateRoot:
