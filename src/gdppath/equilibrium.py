@@ -149,8 +149,8 @@ class EquilibriumPoint(TupleRecord, namedtuple("EquilibriumPoint", (
     ``WAGE_NUMERAIRE``.  The yearly solve needs no capital stock; the point
     keeps T*kappa to check the derivation's first-order condition against.
     A tuple record (``_records``) of per-sector tuples; ``outputs`` holds
-    Y_a = L_a * y_a.  ``output_per_labor`` and ``labor`` stay in place of the
-    deleted per-labor helpers; the equilibrium and record tests read them."""
+    Y_a = L_a * y_a.  ``output_per_labor`` and ``labor`` are kept because the
+    equilibrium and record tests read them."""
 
     __slots__ = ()
 

@@ -265,26 +265,6 @@ def _bisect(f, lo: float, hi: float) -> float:
     )
 
 
-def _estimate_root(g, lo: float, hi: float) -> tuple[float, float, float]:
-    """Illinois false position on an increasing ``g``, g(lo) < 0 < g(hi),
-    halving while g(hi) is infinite, until a step moves less than 1e-12: the
-    estimate, and the bracket its steps narrowed, ends of strict sign."""
-    g_lo, g_hi, x, side = g(lo), g(hi), hi, 0
-    for _ in range(40):
-        x, last = (0.5 * (lo + hi) if g_hi == math.inf
-                   else hi - g_hi * (hi - lo) / (g_hi - g_lo)), x
-        g_x = g(x)
-        if g_x < 0.0:  # an end kept twice in a row weighs half (Illinois)
-            lo, g_lo, g_hi = x, g_x, g_hi * (0.5 if side < 0 else 1.0)
-            side = -1
-        elif g_x > 0.0:
-            hi, g_hi, g_lo = x, g_x, g_lo * (0.5 if side > 0 else 1.0)
-            side = 1
-        if abs(x - last) < 1e-12:
-            break
-    return x, lo, hi
-
-
 def _constant_growth_path(mult_b: float, years: int, spec: EconomySpec):
     """The path function of one calibration: ``path(rate)`` gives the yearly
     productivities ``(values_a, values_b)`` from 1: sector B grows by
@@ -383,13 +363,13 @@ def calibrate_constant_growth(
     infinite endpoint.  The bisection is replayed: the gap's signs at the
     ends of a window stand in for the paths of the midpoints outside it.
     The window is the guess target_t_end^(1/years) - 1 -+ 1e-13, the root
-    when both sectors are identical; else around an estimate of the rate,
-    which starts beyond the guess's end of wrong sign; else that end alone,
-    if any.  Returns the schedule, starting in ``START_YEAR``, and the
-    achieved constant rate.  Raises ``CalibrationError`` when no rate in the
-    bracket reaches the target, the bisection does not converge, the
-    converged rate's path overflows, or sector A's endpoint misses the
-    target by more than 1e-9 relative.
+    when both sectors are identical; else the guess's end of strict sign,
+    which signs every midpoint beyond it; else the plain bisection runs.
+    Returns the schedule, starting in ``START_YEAR``, and the achieved
+    constant rate.  Raises ``CalibrationError`` when no rate in the bracket
+    reaches the target, the bisection does not converge, the converged
+    rate's path overflows, or sector A's endpoint misses the target by more
+    than 1e-9 relative.
     """
     if years < 1:
         raise ValidationError("years must be >= 1")
@@ -426,10 +406,9 @@ def calibrate_constant_growth(
             )
     lo = 0.0 if endpoint(1e-4) > target_t_end else 1e-4
     # _bisect branches only on signs, and the endpoint rises with the rate.
-    # Window: the guess mult_b - 1 -+ 1e-13 if both ends' signs hold; an end
-    # above the target, or one below it, bounds the window on its side.
-    # Else the estimate's bracket in it cut to x -+ 5e-11, ends >= 1e-13
-    # from x (clear of rounding), if both ends' signs hold.
+    # Window: the guess mult_b - 1 -+ 1e-13 if both ends' signs hold; else
+    # an end above the target, or one below it, bounds the window on its
+    # side; else the window is the bracket, and the plain bisection runs.
     w_lo, w_hi = lo, hi
     g_lo, g_hi = mult_b - 1.0 - 1e-13, mult_b - 1.0 + 1e-13
     if lo < g_lo and g_hi < hi:
@@ -439,13 +418,6 @@ def calibrate_constant_growth(
             w_lo = g_hi
         elif endpoint(g_lo) < target_t_end < endpoint(g_hi):
             w_lo, w_hi = g_lo, g_hi
-    if w_lo != g_lo and endpoint(w_lo) < target_t_end < endpoint(w_hi):
-        x, x_lo, x_hi = _estimate_root(  # the gap to 1e300 would cancel
-            lambda r: math.log(endpoint(r) / target_t_end), w_lo, w_hi)
-        x_lo = min(max(x_lo, x - 5e-11), x - 1e-13)
-        x_hi = max(min(x_hi, x + 5e-11), x + 1e-13)
-        if endpoint(x_lo) < target_t_end < endpoint(x_hi):
-            w_lo, w_hi = x_lo, x_hi
     rate = _bisect(lambda r: -1.0 if lo < r <= w_lo else 1.0 if w_hi <= r < hi
                    else endpoint(r) - target_t_end, lo, hi)
     values = solved(rate)  # unsolved if just outside the window

@@ -34,7 +34,6 @@ from gdppath.scenarios import (
     _bisect,
     _check_horizon,
     _constant_growth_path,
-    _estimate_root,
     _normalize,
 )
 
@@ -675,10 +674,9 @@ def plain_calibration(target, years, spec=None):
     return outcome(calibrate), len(solved)
 
 
-def replayed_calibration(target, years, spec=None, estimate=None):
+def replayed_calibration(target, years, spec=None):
     """``calibrate_constant_growth``'s outcome, as ``plain_calibration``
-    gives it, and the number of paths it solved; ``estimate`` stands in for
-    its root estimator when given."""
+    gives it, the number of paths it solved and their rates, in order."""
     paths = []
 
     def counted_path(*args):
@@ -695,9 +693,7 @@ def replayed_calibration(target, years, spec=None, estimate=None):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scenarios, "_constant_growth_path", counted_path)
-        if estimate is not None:
-            patch.setattr(scenarios, "_estimate_root", estimate)
-        return outcome(calibrate), len(paths)
+        return outcome(calibrate), len(paths), paths
 
 
 @st.composite
@@ -739,6 +735,8 @@ ONE_WORKER = dataclasses.replace(default_spec(), total_labor=1.0)
 # lam_B.
 LAMBDA_A_HALF = with_elasticities(0.5, 2.0 / 3.0)
 LAMBDA_B_HALF = with_elasticities(2.0 / 3.0, 0.5)
+# The rates the bracket set-up can solve: 1e-4 and each doubling of 0.15.
+BRACKET_PROBES = {1e-4, *(0.15 * 2.0**k for k in range(7))}
 
 
 class TestReplayedBisection:
@@ -757,49 +755,43 @@ class TestReplayedBisection:
     # The endpoint misses the target (TestNoSilentResults).
     @example(spec=dataclasses.replace(NO_FLOOR_SPEC, omega=1e4),
              case=(2.0, 10))
+    # Without a service sector and with a huge labor force, the endpoint
+    # jumps from below the target to an overflow.
+    @example(spec=dataclasses.replace(default_spec(),
+                                      total_labor=7.115727215717695e+209,
+                                      omega=0.0),
+             case=(1.9473881220933037e+104, 762))
+    @example(spec=dataclasses.replace(default_spec(),
+                                      total_labor=1.7183847689982454e+200,
+                                      omega=0.0),
+             case=(1.252335344181258e+164, 486))
     def test_same_outcome_as_plain_bisection(self, spec, case):
-        got, _ = replayed_calibration(*case, spec)
-        want, _ = plain_calibration(*case, spec)
+        got, paths, _ = replayed_calibration(*case, spec)
+        want, plain = plain_calibration(*case, spec)
         assert repr(got) == repr(want)
+        assert paths <= plain + 2
 
     @given(spec=identical_sector_specs(), case=horizons_and_targets())
     def test_identical_sectors_same_outcome_as_plain_bisection(self, spec,
                                                                case):
         # two_sector_specs() almost never draws these, whose guess is exact.
-        got, _ = replayed_calibration(*case, spec)
-        want, _ = plain_calibration(*case, spec)
+        got, paths, _ = replayed_calibration(*case, spec)
+        want, plain = plain_calibration(*case, spec)
         assert repr(got) == repr(want)
-
-    @given(spec=two_sector_specs(), case=horizons_and_targets(),
-           at=st.floats(0.0, 1.0))
-    @example(spec=LAMBDA_A_HALF, case=(T_END, 98), at=0.5)
-    def test_wrong_estimate_falls_back(self, spec, case, at):
-        # An estimate anywhere in the bracket: a window that misses the root
-        # fails its signs, and the plain bisection gives the rate.
-        def estimate(g, lo, hi):
-            return lo + at * (hi - lo), lo, hi
-        got, _ = replayed_calibration(*case, spec, estimate)
-        want, _ = plain_calibration(*case, spec)
-        assert repr(got) == repr(want)
+        assert paths <= plain + 2
 
     def test_window_end_on_a_root_is_refused(self):
         # A target whose plain bisection exits on an exact zero at a
         # midpoint m (found by a search over targets near 2.0, 10 years):
-        # the endpoint of m's path is the target itself.  The guess misses,
-        # so the estimator runs.  A window with m at its end has no strict
-        # sign there, so it is refused, and the plain bisection returns m;
-        # inside the replay's own window, m's gap is 0.0 too.
+        # the endpoint of m's path is the target itself.  The guess's lower
+        # end lies above m and signs only the midpoints above it, so the
+        # replay solves m's path too, reads its gap 0.0 and returns m.
         target = 2.000000993571397
         want, _ = plain_calibration(target, 10, LAMBDA_A_HALF)
         m = want[0]
         path = _constant_growth_path(target ** 0.1, 10, LAMBDA_A_HALF)
         assert path(m)[0][-1] == target and m < guess(target, 10) - 1e-13
         assert replayed_calibration(target, 10, LAMBDA_A_HALF)[0] == want
-        estimates = []
-        got, _ = replayed_calibration(
-            target, 10, LAMBDA_A_HALF,
-            lambda g, lo, hi: estimates.append(m) or (m + 2e-13, m, hi))
-        assert got == want and estimates == [m]
 
     def test_cli_default_path_count(self):
         assert plain_calibration(T_END, 98)[1] == 41
@@ -819,65 +811,59 @@ class TestReplayedBisection:
                 <= plain_calibration(target, years)[1] + 2)
 
 
-def estimator_brackets(target, years, spec):
-    """The brackets the replay's root estimator started on; the replay's
-    outcome must be the plain bisection's."""
-    brackets = []
-
-    def estimate(g, lo, hi):
-        brackets.append((lo, hi))
-        return _estimate_root(g, lo, hi)
-    got, _ = replayed_calibration(target, years, spec, estimate)
-    assert repr(got) == repr(plain_calibration(target, years, spec)[0])
-    return brackets
-
-
 class TestGuessWindow:
-    # The guess's window comes first: certified, it is the window; with an
-    # end on the wrong side, the estimator starts beyond that end.
+    # The guess's window comes first: certified, it is the window; else its
+    # end of strict sign signs every midpoint beyond it; else the plain
+    # bisection runs.  Each case checks which rates had their paths solved.
     @pytest.mark.parametrize("target,years", [(T_END, 98), (8.0, 10)])
     def test_certified_guess_needs_no_estimate(self, target, years):
-        assert estimator_brackets(target, years, default_spec()) == []
+        g = guess(target, years)
+        got, _, rates = replayed_calibration(target, years)
+        assert repr(got) == repr(plain_calibration(target, years)[0])
+        assert all(abs(r - g) <= 1e-12 for r in rates
+                   if r not in BRACKET_PROBES)
 
     def test_guess_above_the_root(self):
-        g = guess(T_END, 98)
-        assert estimator_brackets(T_END, 98, LAMBDA_A_HALF) == [
-            (1e-4, g - 1e-13)]
+        # The guess's lower end is above the target: the midpoints above it
+        # read their sign from it, so the replay solves fewer paths than the
+        # plain bisection, despite the guess's probe.
+        g_lo = guess(T_END, 98) - 1e-13
+        got, paths, rates = replayed_calibration(T_END, 98, LAMBDA_A_HALF)
+        want, plain = plain_calibration(T_END, 98, LAMBDA_A_HALF)
+        assert repr(got) == repr(want) and (paths, plain) == (38, 41)
+        assert [r for r in rates if r >= g_lo and r not in BRACKET_PROBES
+                ] == [g_lo]
 
     def test_guess_below_the_root(self):
-        g = guess(T_END, 98)
-        assert estimator_brackets(T_END, 98, LAMBDA_B_HALF) == [
-            (g + 1e-13, 0.15)]
-
-    def test_guess_end_outlives_a_wrong_estimate(self):
-        # The estimate's window misses the root and is refused, but the
-        # guess's lower end, above the target, still signs every midpoint
-        # above it: fewer paths than the plain bisection, despite the
-        # guess's probe, the estimate and its window's two ends.
-        got, paths = replayed_calibration(
-            T_END, 98, LAMBDA_A_HALF,
-            lambda g, lo, hi: (0.5 * (lo + hi), lo, hi))
-        want, plain = plain_calibration(T_END, 98, LAMBDA_A_HALF)
-        assert repr(got) == repr(want) and paths < plain
+        # Both guess ends are below the target: the midpoints below the
+        # upper end read their sign from it.
+        g_lo, g_hi = guess(T_END, 98) - 1e-13, guess(T_END, 98) + 1e-13
+        got, _, rates = replayed_calibration(T_END, 98, LAMBDA_B_HALF)
+        assert repr(got) == repr(plain_calibration(T_END, 98,
+                                                   LAMBDA_B_HALF)[0])
+        assert [r for r in rates if 1e-4 < r < g_hi] == [g_lo]
 
     def test_guess_outside_the_bracket(self):
-        # The guess 0.16 lies above the bracket's end 0.15, the root below.
+        # The guess 0.16 lies above the bracket's end 0.15, the root below:
+        # no guess end is solved, and the plain bisection runs.
         assert guess(1.16, 1) > 0.15
-        assert estimator_brackets(1.16, 1, LAMBDA_A_HALF) == [(1e-4, 0.15)]
+        got, paths, _ = replayed_calibration(1.16, 1, LAMBDA_A_HALF)
+        want, plain = plain_calibration(1.16, 1, LAMBDA_A_HALF)
+        assert repr(got) == repr(want) and paths == plain
 
     def test_window_end_on_a_root_is_refused(self):
         # Sectors a hair apart put the root on the guess window's lower end
         # (lam_B and the target found by a search): that end is also a
         # midpoint of the plain bisection, which exits there on an exact
-        # zero.  So the window is refused, the estimator runs on the whole
-        # bracket, and the replay returns the same midpoint.
+        # zero.  So the window is refused, the plain bisection runs, and the
+        # replay returns the same midpoint.
         spec = with_elasticities(2.0 / 3.0, 0.666666666669162)
         target = 1.4802443357365291
         want, _ = plain_calibration(target, 10, spec)
         path = _constant_growth_path(target ** 0.1, 10, spec)
         assert want[0] == guess(target, 10) - 1e-13
         assert path(want[0])[0][-1] == target
-        assert estimator_brackets(target, 10, spec) == [(1e-4, 0.15)]
+        assert replayed_calibration(target, 10, spec)[0] == want
 
 
 class TestNoCurvatureOnTheDiagonal:
@@ -936,21 +922,6 @@ class TestDefaultSpec:
         assert other is not default_spec() and other.omega == 1.0
         assert default_spec().omega == 5.0
         assert repr(default_spec()) == repr(self.FRESH)
-
-
-class TestEstimateRoot:
-    def test_exact_root_keeps_a_strict_bracket(self):
-        assert _estimate_root(lambda r: r - 0.5, 0.0, 1.0) == (0.5, 0.0, 1.0)
-
-    def test_halves_while_the_upper_end_is_infinite(self):
-        seen = []
-
-        def g(r):
-            seen.append(r)
-            return math.inf if r > 0.8 else r - 0.3
-        x, lo, hi = _estimate_root(g, 0.0, 1.0)
-        assert seen[2:4] == [0.5, 0.3]  # a halving step, then a secant one
-        assert lo <= x <= hi and x == pytest.approx(0.3, abs=1e-15)
 
 
 class TestNoSilentResults:
