@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
-from pathlib import Path
 
 from .errors import (
     CalibrationError,
@@ -81,9 +81,34 @@ def _method(name: str) -> IndexMethod:
         raise UsageError(f"unknown index method {name!r}") from None
 
 
+def _spelled(path: str) -> str:
+    """``str(PurePosixPath(path))``, the spelling in which the CLI opens,
+    makes and echoes every path, and in which an OSError names it."""
+    rest = path.lstrip("/")
+    root = {0: "", 2: "//"}.get(len(path) - len(rest), "/")
+    names = [name for name in rest.split("/") if name not in ("", ".")]
+    return root + "/".join(names) or "."
+
+
+def _make_dirs(path: str, parents: bool = True) -> None:
+    """``Path(path).mkdir(parents=True, exist_ok=True)``, step for step."""
+    try:
+        os.mkdir(path)
+    except FileNotFoundError:
+        parent = os.path.dirname(path) or "."
+        if not parents or parent == path:
+            raise
+        _make_dirs(parent)
+        _make_dirs(path, parents=False)
+    except OSError:
+        if not os.path.isdir(path):
+            raise
+
+
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(_spelled(path)) as file:
+            return file.read()
     except UnicodeDecodeError as exc:
         raise PanelFormatError(f"{path}: {exc}") from None
 
@@ -95,7 +120,8 @@ def _load_panel(args: argparse.Namespace, path: str) -> PricedPanel:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        with open(_spelled(out), "w") as file:
+            file.write(text)
     else:
         sys.stdout.write(text)
 
@@ -241,20 +267,21 @@ def _cmd_catchup(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _spelled(args.outdir)
+    _make_dirs(outdir)
+    join = os.path.join
     for rule in ISLAND_RULES:
         panel = generate_panel(island_scenario(rule))
         series = growth_series(panel, IndexMethod.LASPEYRES)
-        (outdir / f"gdp{rule}.csv").write_text(write_panel(panel))
-        (outdir / f"fig1a_{rule}.csv").write_text(
-            write_columns(series.step_labels, series.rates))
-        (outdir / f"fig1b_{rule}.csv").write_text(
-            write_columns(series.step_labels, series.running_average))
+        _emit(write_panel(panel), join(outdir, f"gdp{rule}.csv"))
+        _emit(write_columns(series.step_labels, series.rates),
+              join(outdir, f"fig1a_{rule}.csv"))
+        _emit(write_columns(series.step_labels, series.running_average),
+              join(outdir, f"fig1b_{rule}.csv"))
         if rule == "north":  # fig. 2 sets Laspeyres against Paasche
             paasche = growth_series(panel, IndexMethod.PAASCHE)
-            (outdir / "fig2_north.csv").write_text(
-                write_columns(series.step_labels, series.rates, paasche.rates))
+            _emit(write_columns(series.step_labels, series.rates,
+                                paasche.rates), join(outdir, "fig2_north.csv"))
     print(f"wrote demo files to {outdir}")
     return EXIT_OK
 

@@ -212,9 +212,10 @@ def _solve_year(spec: EconomySpec, t_a: float, t_b: float):
     fields of ``EquilibriumPoint`` after the names and capital per labor, as
     per-sector pairs.  They are valid panel entries, 0 <= Y < inf and
     0 < P < inf: a positive lam*y gives P > 0, and an overflowing P or L*y
-    is refused.  The calibration's path (``_constant_growth_path``) restates
+    is refused.  ``_constant_growth_path`` and ``generate_panel`` restate
     y = c*T, P = W/(lam*y), the labor split and L*y letter for letter;
-    ``test_kernel_path_matches_checked_path`` pins them to these."""
+    ``test_kernel_path_matches_checked_path`` and
+    ``TestPanelNeedsNoSecondCheck`` pin them to these."""
     (lam_a, _, c_a), (lam_b, _, c_b) = spec._sector_constants
     y_a = c_a * t_a
     y_b = c_b * t_b

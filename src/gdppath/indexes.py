@@ -114,8 +114,8 @@ class PricedPanel:
         """A panel whose producer has already checked its shape and every
         entry, as ``__post_init__`` would: ``read_panel`` checks each entry
         in its bulk or its row-by-row pass, and ``generate_panel``'s kernel
-        returns only valid entries.  Only the labels' order is checked
-        here."""
+        and its loop return only valid entries.  Only the labels' order is
+        checked here."""
         _check_labels(period_labels)
         panel = object.__new__(cls)
         object.__setattr__(panel, "sector_names", sector_names)

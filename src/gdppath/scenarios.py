@@ -24,6 +24,7 @@ from .equilibrium import (
 )
 from .errors import (
     CalibrationError,
+    DegenerateSectorError,
     ModelError,
     PanelFormatError,
     ValidationError,
@@ -224,19 +225,32 @@ def read_scenario_config(text: str) -> IslandScenario:
 
 def generate_panel(scenario: IslandScenario) -> PricedPanel:
     """Simulate the scenario year by year into a priced panel of per-sector
-    (output, price) pairs, unchecked: the kernel vouches for every pair."""
+    (output, price) pairs, unchecked.  Year 0 goes through the kernel
+    ``_solve_year``; later years restate it with only its output check, as
+    ``_constant_growth_path`` does and for its reason (T only rises)."""
     spec, schedule = scenario.spec, scenario.schedule
-    periods = []
-    for year, t_a, t_b in zip(
-        schedule.years, schedule.values_a, schedule.values_b
-    ):
-        try:
-            _, (p_a, p_b), _, (out_a, out_b) = _solve_year(spec, t_a, t_b)
-        except ModelError as exc:
-            raise type(exc)(f"year {year}: {exc}") from exc
-        periods.append(((out_a, p_a), (out_b, p_b)))
+    (lam_a, _, c_a), (lam_b, _, c_b) = spec._sector_constants
+    total, n0 = spec.total_labor, spec.subsistence
+    omega_lam_b, denominator = spec._omega_lam_b, spec._labor_denominator
+    years, values_a, values_b = (schedule.years, schedule.values_a,
+                                 schedule.values_b)
+    try:
+        _, (p_a, p_b), _, (out_a, out_b) = _solve_year(
+            spec, values_a[0], values_b[0])
+    except ModelError as exc:
+        raise type(exc)(f"year {years[0]}: {exc}") from exc
+    periods = [((out_a, p_a), (out_b, p_b))]
+    inf = math.inf
+    for i in range(1, len(years)):
+        y_a, y_b = c_a * values_a[i], c_b * values_b[i]
+        labor_a = total * ((lam_a + omega_lam_b * (n0 / y_a)) / denominator)
+        out_a, out_b = labor_a * y_a, (total - labor_a) * y_b
+        if not (out_a < inf and out_b < inf):
+            raise DegenerateSectorError(f"year {years[i]}: {_OUTPUT_OVERFLOW}")
+        periods.append(((out_a, WAGE_NUMERAIRE / (lam_a * y_a)),
+                        (out_b, WAGE_NUMERAIRE / (lam_b * y_b))))
     return PricedPanel._from_checked(spec._sector_names, tuple(periods),
-                                     schedule.years)
+                                     years)
 
 
 def _bisect(f, lo: float, hi: float) -> float:

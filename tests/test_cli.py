@@ -4,11 +4,13 @@ import sys
 import tracemalloc
 import warnings
 from itertools import accumulate
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from gdppath.cli import main
+from gdppath.cli import _spelled, main
 
 GOLDEN_DEMO = Path(__file__).parent / "golden" / "demo"
 
@@ -229,6 +231,88 @@ class TestDemo:
         before = panel.read_bytes()
         run(capsys, "growth", "--panel", str(panel))
         assert panel.read_bytes() == before
+
+
+class TestPathSpelling:
+    """Every path the CLI reads, writes or echoes is spelled as pathlib
+    spells it: no empty or "." parts, no trailing slash, "." for the empty
+    path; ".." is kept.  The demo directory is made with its missing
+    parents, and an error names the deepest path that failed."""
+
+    @pytest.fixture
+    def cwd(self, tmp_path, monkeypatch):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "taken" / "gdpnorth.csv").mkdir(parents=True)
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize("outdir, spelled", [
+        ("", "."),
+        ("./.", "."),
+        ("out/", "out"),
+        ("./out", "out"),
+        ("out//sub", "out/sub"),
+        ("new/nested/parents/", "new/nested/parents"),
+        ("./new/./nested/", "new/nested"),
+        ("dir", "dir"),
+        ("new/..", "new/.."),
+    ])
+    def test_demo_outdir(self, cwd, capsys, outdir, spelled):
+        code, out, err = run(capsys, "demo", "--outdir", outdir)
+        assert (code, out, err) == (0, f"wrote demo files to {spelled}\n", "")
+        for golden in GOLDEN_DEMO.iterdir():
+            assert (cwd / spelled / golden.name).read_bytes() == (
+                golden.read_bytes()), golden.name
+
+    @pytest.mark.parametrize("argv, message", [
+        (["demo", "--outdir", "file"], "[Errno 17] File exists: 'file'"),
+        (["demo", "--outdir", "./file/"], "[Errno 17] File exists: 'file'"),
+        (["demo", "--outdir", "file/child"],
+         "[Errno 20] Not a directory: 'file/child'"),
+        (["demo", "--outdir", "file//new/child/"],
+         "[Errno 20] Not a directory: 'file/new/child'"),
+        (["demo", "--outdir", "./taken/"],
+         "[Errno 21] Is a directory: 'taken/gdpnorth.csv'"),
+        (["demo", "--outdir", "taken/./"],
+         "[Errno 21] Is a directory: 'taken/gdpnorth.csv'"),
+        (["growth", "--panel", ""], "[Errno 21] Is a directory: '.'"),
+        (["growth", "--panel", "dir//"], "[Errno 21] Is a directory: 'dir'"),
+        (["growth", "--panel", "./missing.csv"],
+         "[Errno 2] No such file or directory: 'missing.csv'"),
+        (["simulate", "--config", "dir/"], "[Errno 21] Is a directory: 'dir'"),
+        (["simulate", "--out", "dir/"], "[Errno 21] Is a directory: 'dir'"),
+        (["simulate", "--out", "./file/x.csv"],
+         "[Errno 20] Not a directory: 'file/x.csv'"),
+    ])
+    def test_error_names_spelled_path(self, cwd, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"data error: {message}\n")
+
+    def test_demo_into_cwd_names_bare_file(self, cwd, capsys, monkeypatch):
+        monkeypatch.chdir(cwd / "taken")
+        assert run(capsys, "demo", "--outdir", "") == (
+            2, "", "data error: [Errno 21] Is a directory: 'gdpnorth.csv'\n")
+
+    def test_demo_in_deleted_cwd(self, tmp_path, capsys, monkeypatch):
+        # "." still exists, but no directory can be made in it: the parent
+        # is tried once and the missing directory named, as pathlib does.
+        monkeypatch.chdir(tmp_path)
+        tmp_path.rmdir()
+        assert run(capsys, "demo", "--outdir", "new/sub") == (
+            2, "", "data error: [Errno 2] No such file or directory: 'new'\n")
+
+    @given(st.text(st.sampled_from("/.a"), max_size=12))
+    def test_spelling_is_pathlibs(self, path):
+        assert _spelled(path) == str(PurePosixPath(path))
+
+    def test_simulate_reads_and_writes_spelled_paths(self, cwd, capsys):
+        (cwd / "dir" / "island.cfg").write_text("rule = south\n")
+        run(capsys, "simulate", "--config", "dir/island.cfg",
+            "--out", "plain.csv")
+        assert run(capsys, "simulate", "--config", "./dir//island.cfg",
+                   "--out", "./dir/../spelled.csv") == (0, "", "")
+        assert (cwd / "spelled.csv").read_bytes() == (
+            cwd / "plain.csv").read_bytes()
 
 
 class TestExitCodes:

@@ -27,7 +27,7 @@ from gdppath import (
 )
 from gdppath.equilibrium import WAGE_NUMERAIRE, _solve_year
 from gdppath.indexes import PricedPanel
-from gdppath.scenarios import ISLAND_RULES
+from gdppath.scenarios import _ISLAND_STEPS, ISLAND_RULES, build_schedule
 
 from conftest import (
     bisect_root,
@@ -553,6 +553,34 @@ def near_overflow_scenarios(draw):
     return IslandScenario("hand-built", spec, schedule)
 
 
+@st.composite
+def island_scenarios(draw):
+    """An island rule at its full horizon or a drawn shorter one, from a
+    drawn start year, normalized or raw, on the baseline or a drawn economy;
+    some drawn economies cannot meet subsistence at year 0."""
+    rule = draw(st.sampled_from(ISLAND_RULES))
+    limit = _ISLAND_STEPS[rule][0]
+    years = draw(st.one_of(st.just(limit), st.integers(1, limit)))
+    start = draw(st.integers(1, 3000))
+    spec = draw(st.one_of(st.just(default_spec()), two_sector_specs()))
+    return IslandScenario(rule, spec, build_schedule(
+        rule, start, start + years, normalize=draw(st.booleans())))
+
+
+def with_sector_b(elasticity, depreciation):
+    return dataclasses.replace(default_spec(), sectors=(
+        default_spec().sectors[0], SectorParams("B", elasticity, depreciation)))
+
+
+def raw_middle_millennium(total_labor):
+    """The raw middle island grows 1.0305-fold a year for 1000 years, so the
+    output L*y of a large labor force overflows only in a late year, after
+    the kernel has vouched for year 0."""
+    return IslandScenario(
+        "middle", dataclasses.replace(default_spec(), total_labor=total_labor),
+        build_schedule("middle", 1900, 2900, normalize=False))
+
+
 class TestPanelNeedsNoSecondCheck:
     """generate_panel, building its panel unchecked, gives the reference's
     panel, built with every check, bit for bit, or its error: a year whose
@@ -568,6 +596,38 @@ class TestPanelNeedsNoSecondCheck:
         # repr tells floats apart bit for bit, -0.0 from 0.0 included.
         assert repr(outcome(generate_panel, scenario)) == repr(
             outcome(reference_generate_panel, scenario))
+
+    @given(island_scenarios())
+    # Year 0 degenerate (c_B = 0, then sector B's price overflows), then
+    # year 0 infeasible: every later year would pass the kernel's checks.
+    @example(IslandScenario("middle", with_sector_b(0.5, 1e300),
+                            build_schedule("middle")))
+    @example(IslandScenario("north", with_sector_b(0.01, 1350.0),
+                            build_schedule("north")))
+    @example(IslandScenario("south", dataclasses.replace(
+        default_spec(), subsistence=5.0), build_schedule("south")))
+    @settings(max_examples=100)
+    def test_island_rules(self, scenario):
+        assert repr(outcome(generate_panel, scenario)) == repr(
+            outcome(reference_generate_panel, scenario))
+
+    @given(st.floats(290.0, 308.2).map(lambda exponent: 10.0 ** exponent))
+    @example(1.1e295)  # no year overflows
+    @example(1.11e295)  # only the last year, 2900, overflows
+    @example(3.71e301)  # years from 2400 on overflow
+    @settings(max_examples=50)
+    def test_labor_force_overflows_late(self, total_labor):
+        scenario = raw_middle_millennium(total_labor)
+        assert repr(outcome(generate_panel, scenario)) == repr(
+            outcome(reference_generate_panel, scenario))
+
+    @pytest.mark.parametrize("total_labor, year",
+                             [(1.11e295, 2900), (3.71e301, 2400)])
+    def test_late_overflow_names_its_year(self, total_labor, year):
+        with pytest.raises(DegenerateSectorError) as info:
+            generate_panel(raw_middle_millennium(total_labor))
+        assert str(info.value) == (
+            f"year {year}: a sector's output L*y overflows")
 
 
 class TestUtility:

@@ -1,6 +1,6 @@
 """The contract of the tuple records ``EquilibriumPoint`` and ``GapReport``:
 what they kept from the frozen dataclasses they were, and that the package
-still starts without ``typing``."""
+still starts without ``typing`` or ``pathlib``."""
 
 import collections
 import pickle
@@ -156,3 +156,14 @@ def test_cli_import_does_not_load_typing():
     out = subprocess.run([sys.executable, "-S", "-c", code],
                          capture_output=True, text=True, check=True).stdout
     assert out in ("False False\n", "True True\n")
+
+
+def test_cli_import_does_not_load_pathlib():
+    """The CLI opens, makes and names its files through ``os`` alone, so a
+    bare start-up of the CLI module does not load ``pathlib``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+            "import gdppath.cli; print('pathlib' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"

@@ -270,6 +270,16 @@ class TestGeneratePanel:
             generate_panel(scenario)
         assert str(info.value) == "year 1901: a sector's output L*y overflows"
 
+    @pytest.mark.parametrize("rule", ISLAND_RULES)
+    def test_one_kernel_call_per_panel(self, monkeypatch, rule):
+        # Year 0 goes through the kernel once; no later year calls it.
+        calls = []
+        solve_year = scenarios._solve_year
+        monkeypatch.setattr(scenarios, "_solve_year",
+                            lambda *a: calls.append(a) or solve_year(*a))
+        generate_panel(island_scenario(rule))
+        assert len(calls) == 1
+
 
 class TestCalibration:
     def test_single_year(self):
