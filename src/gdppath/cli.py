@@ -106,8 +106,9 @@ def _make_dirs(path: str, parents: bool = True) -> None:
 
 
 def _read_text(path: str) -> str:
+    path = _spelled(path)
     try:
-        with open(_spelled(path)) as file:
+        with open(path) as file:
             return file.read()
     except UnicodeDecodeError as exc:
         raise PanelFormatError(f"{path}: {exc}") from None

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._records import TupleRecord
 from .errors import (
@@ -80,7 +80,8 @@ class EconomySpec:
 
     The economy has exactly two sectors: the first is the subsistence good
     (A), the second the service (B).  Building a spec validates it and
-    computes the constants of the yearly solve once.
+    computes the constants of the yearly solve once, as attributes outside
+    the fields, which equality, hash and repr leave out.
     """
 
     sectors: tuple[SectorParams, ...]
@@ -88,15 +89,6 @@ class EconomySpec:
     rate_of_return: float  # R_c, per year
     subsistence: float  # N0, good-A units per person per year
     omega: float  # utility exponent on the service good
-    _sector_names: tuple[str, ...] = field(init=False, repr=False,
-                                           compare=False)
-    # Per sector: (lam, kappa = ((1-lam)/gr)^(1/lam) with gr = R_c + delta,
-    # c = kappa^(1-lam), the output per labor at T = 1).
-    _sector_constants: tuple[tuple[float, float, float], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    _omega_lam_b: float = field(init=False, repr=False, compare=False)
-    _labor_denominator: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_finite(
@@ -115,6 +107,8 @@ class EconomySpec:
             raise ValidationError("subsistence must be >= 0")
         if self.omega < 0.0:
             raise ValidationError("omega must be >= 0")
+        # Per sector: (lam, kappa = ((1-lam)/gr)^(1/lam) with gr = R_c + delta,
+        # c = kappa^(1-lam), the output per labor at T = 1).
         constants = []
         for s in self.sectors:
             gr = self.gross_return(s)
@@ -212,8 +206,9 @@ def _solve_year(spec: EconomySpec, t_a: float, t_b: float):
     fields of ``EquilibriumPoint`` after the names and capital per labor, as
     per-sector pairs.  They are valid panel entries, 0 <= Y < inf and
     0 < P < inf: a positive lam*y gives P > 0, and an overflowing P or L*y
-    is refused.  ``_constant_growth_path`` and ``generate_panel`` restate
-    y = c*T, P = W/(lam*y), the labor split and L*y letter for letter;
+    is refused.  ``_constant_growth_path`` and ``generate_panel`` call it on
+    year 0 for its checks only, then restate y = c*T, P = W/(lam*y), the
+    labor split and L*y letter for letter in a loop from year 0 on;
     ``test_kernel_path_matches_checked_path`` and
     ``TestPanelNeedsNoSecondCheck`` pin them to these."""
     (lam_a, _, c_a), (lam_b, _, c_b) = spec._sector_constants

@@ -226,8 +226,9 @@ def read_scenario_config(text: str) -> IslandScenario:
 def generate_panel(scenario: IslandScenario) -> PricedPanel:
     """Simulate the scenario year by year into a priced panel of per-sector
     (output, price) pairs, unchecked.  Year 0 goes through the kernel
-    ``_solve_year``; later years restate it with only its output check, as
-    ``_constant_growth_path`` does and for its reason (T only rises)."""
+    ``_solve_year`` for its checks only, as in ``_constant_growth_path``;
+    then one loop restates the kernel over every year, year 0 included, with
+    only its output check, for the same reason (T only rises)."""
     spec, schedule = scenario.spec, scenario.schedule
     (lam_a, _, c_a), (lam_b, _, c_b) = spec._sector_constants
     total, n0 = spec.total_labor, spec.subsistence
@@ -235,18 +236,17 @@ def generate_panel(scenario: IslandScenario) -> PricedPanel:
     years, values_a, values_b = (schedule.years, schedule.values_a,
                                  schedule.values_b)
     try:
-        _, (p_a, p_b), _, (out_a, out_b) = _solve_year(
-            spec, values_a[0], values_b[0])
+        _solve_year(spec, values_a[0], values_b[0])
     except ModelError as exc:
         raise type(exc)(f"year {years[0]}: {exc}") from exc
-    periods = [((out_a, p_a), (out_b, p_b))]
+    periods = []
     inf = math.inf
-    for i in range(1, len(years)):
-        y_a, y_b = c_a * values_a[i], c_b * values_b[i]
+    for year, t_a, t_b in zip(years, values_a, values_b):
+        y_a, y_b = c_a * t_a, c_b * t_b
         labor_a = total * ((lam_a + omega_lam_b * (n0 / y_a)) / denominator)
         out_a, out_b = labor_a * y_a, (total - labor_a) * y_b
         if not (out_a < inf and out_b < inf):
-            raise DegenerateSectorError(f"year {years[i]}: {_OUTPUT_OVERFLOW}")
+            raise DegenerateSectorError(f"year {year}: {_OUTPUT_OVERFLOW}")
         periods.append(((out_a, WAGE_NUMERAIRE / (lam_a * y_a)),
                         (out_b, WAGE_NUMERAIRE / (lam_b * y_b))))
     return PricedPanel._from_checked(spec._sector_names, tuple(periods),
@@ -377,8 +377,8 @@ def calibrate_constant_growth(
     infinite endpoint.  The bisection is replayed: the gap's signs at the
     ends of a window stand in for the paths of the midpoints outside it.
     The window is the guess target_t_end^(1/years) - 1 -+ 1e-13, the root
-    when both sectors are identical; else the guess's end of strict sign,
-    which signs every midpoint beyond it; else the plain bisection runs.
+    when both sectors are identical, if the gap's signs at both its ends
+    are strict; else the plain bisection runs.
     Returns the schedule, starting in ``START_YEAR``, and the achieved
     constant rate.  Raises ``CalibrationError`` when no rate in the bracket
     reaches the target, the bisection does not converge, the converged
@@ -391,8 +391,9 @@ def calibrate_constant_growth(
     if not target_t_end > 1.0:  # NaN too
         raise ValidationError("target productivity endpoint must exceed 1")
     economy = spec if spec is not None else default_spec()
-    # Both sectors end at the target; refuse it here rather than in the
-    # last year's solve, whose error would name no target.
+    # Both sectors end at the target, so the schedule's last year has the
+    # capital per labor target*kappa, which solve_equilibrium refuses when
+    # it is not finite.  No path computes capital: refuse it here, by name.
     for sector, (_, kappa, _) in zip(economy.sectors,
                                       economy._sector_constants):
         k_end = target_t_end * kappa
@@ -420,18 +421,14 @@ def calibrate_constant_growth(
             )
     lo = 0.0 if endpoint(1e-4) > target_t_end else 1e-4
     # _bisect branches only on signs, and the endpoint rises with the rate.
-    # Window: the guess mult_b - 1 -+ 1e-13 if both ends' signs hold; else
-    # an end above the target, or one below it, bounds the window on its
-    # side; else the window is the bracket, and the plain bisection runs.
+    # Window: the guess mult_b - 1 -+ 1e-13 if both ends' signs are strict,
+    # and then they sign every midpoint outside it; else the window is the
+    # bracket, and the plain bisection runs.
     w_lo, w_hi = lo, hi
     g_lo, g_hi = mult_b - 1.0 - 1e-13, mult_b - 1.0 + 1e-13
-    if lo < g_lo and g_hi < hi:
-        if endpoint(g_lo) > target_t_end:
-            w_hi = g_lo
-        elif endpoint(g_hi) < target_t_end:
-            w_lo = g_hi
-        elif endpoint(g_lo) < target_t_end < endpoint(g_hi):
-            w_lo, w_hi = g_lo, g_hi
+    if (lo < g_lo and g_hi < hi
+            and endpoint(g_lo) < target_t_end < endpoint(g_hi)):
+        w_lo, w_hi = g_lo, g_hi
     rate = _bisect(lambda r: -1.0 if lo < r <= w_lo else 1.0 if w_hi <= r < hi
                    else endpoint(r) - target_t_end, lo, hi)
     values = solved(rate)  # unsolved if just outside the window

@@ -288,6 +288,16 @@ class TestPathSpelling:
     def test_error_names_spelled_path(self, cwd, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"data error: {message}\n")
 
+    @pytest.mark.parametrize("command", [["growth", "--panel"],
+                                         ["simulate", "--config"]],
+                             ids=["growth", "simulate"])
+    def test_undecodable_file_names_spelled_path(self, cwd, capsys,
+                                                  command):
+        (cwd / "dir" / "bad.csv").write_bytes(b"\xff1,1,1,1\n")
+        code, out, err = run(capsys, *command, "./dir//bad.csv")
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith("data error: dir/bad.csv: 'utf-8' codec")
+
     def test_demo_into_cwd_names_bare_file(self, cwd, capsys, monkeypatch):
         monkeypatch.chdir(cwd / "taken")
         assert run(capsys, "demo", "--outdir", "") == (

@@ -767,6 +767,13 @@ class TestSpecValidation:
             assert other == spec and hash(other) == hash(spec)
             assert repr(other) == repr(spec)
 
+    def test_compiled_constants_are_no_fields(self):
+        # The constants are attributes outside the fields, so that
+        # dataclasses.replace and fields() see only the constructor's five.
+        assert [f.name for f in dataclasses.fields(EconomySpec)] == [
+            "sectors", "total_labor", "rate_of_return", "subsistence",
+            "omega"]
+
     @pytest.mark.parametrize("field, value, message", [
         ("total_labor", 0.0, "total_labor must be > 0"),
         ("total_labor", -1.0, "total_labor must be > 0"),

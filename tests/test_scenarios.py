@@ -706,6 +706,24 @@ def replayed_calibration(target, years, spec=None):
         return outcome(calibrate), len(paths), paths
 
 
+def plain_rates(target, years, spec=None):
+    """The rates whose paths ``plain_calibration`` solves."""
+    rates, path_function = set(), _constant_growth_path
+
+    def counted_path(*args):
+        path = path_function(*args)
+
+        def counted(rate):
+            rates.add(rate)
+            return path(rate)
+        return counted
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(globals(), "_constant_growth_path", counted_path)
+        plain_calibration(target, years, spec)
+    return rates
+
+
 @st.composite
 def horizons_and_targets(draw):
     """A target (1 + g)**years for a horizon of 1 to 60 years and a yearly
@@ -794,8 +812,9 @@ class TestReplayedBisection:
         # A target whose plain bisection exits on an exact zero at a
         # midpoint m (found by a search over targets near 2.0, 10 years):
         # the endpoint of m's path is the target itself.  The guess's lower
-        # end lies above m and signs only the midpoints above it, so the
-        # replay solves m's path too, reads its gap 0.0 and returns m.
+        # end lies above m, so the guess window is refused and the plain
+        # bisection runs: the replay solves m's path, reads its gap 0.0 and
+        # returns m.
         target = 2.000000993571397
         want, _ = plain_calibration(target, 10, LAMBDA_A_HALF)
         m = want[0]
@@ -822,9 +841,9 @@ class TestReplayedBisection:
 
 
 class TestGuessWindow:
-    # The guess's window comes first: certified, it is the window; else its
-    # end of strict sign signs every midpoint beyond it; else the plain
-    # bisection runs.  Each case checks which rates had their paths solved.
+    # The guess's window comes first: certified by strict signs at both
+    # ends, it is the window; else the plain bisection runs.  Each case
+    # checks which rates had their paths solved.
     @pytest.mark.parametrize("target,years", [(T_END, 98), (8.0, 10)])
     def test_certified_guess_needs_no_estimate(self, target, years):
         g = guess(target, years)
@@ -833,25 +852,19 @@ class TestGuessWindow:
         assert all(abs(r - g) <= 1e-12 for r in rates
                    if r not in BRACKET_PROBES)
 
-    def test_guess_above_the_root(self):
-        # The guess's lower end is above the target: the midpoints above it
-        # read their sign from it, so the replay solves fewer paths than the
-        # plain bisection, despite the guess's probe.
-        g_lo = guess(T_END, 98) - 1e-13
-        got, paths, rates = replayed_calibration(T_END, 98, LAMBDA_A_HALF)
-        want, plain = plain_calibration(T_END, 98, LAMBDA_A_HALF)
-        assert repr(got) == repr(want) and (paths, plain) == (38, 41)
-        assert [r for r in rates if r >= g_lo and r not in BRACKET_PROBES
-                ] == [g_lo]
-
-    def test_guess_below_the_root(self):
-        # Both guess ends are below the target: the midpoints below the
-        # upper end read their sign from it.
-        g_lo, g_hi = guess(T_END, 98) - 1e-13, guess(T_END, 98) + 1e-13
-        got, _, rates = replayed_calibration(T_END, 98, LAMBDA_B_HALF)
-        assert repr(got) == repr(plain_calibration(T_END, 98,
-                                                   LAMBDA_B_HALF)[0])
-        assert [r for r in rates if 1e-4 < r < g_hi] == [g_lo]
+    @pytest.mark.parametrize("spec", [LAMBDA_A_HALF, LAMBDA_B_HALF],
+                             ids=["LAMBDA_A_HALF", "LAMBDA_B_HALF"])
+    def test_guess_misses_the_root(self, spec):
+        # The guess window lies wholly above the root or wholly below it, so
+        # the gap's signs at its ends are not both strict: the plain
+        # bisection runs, after the probes of one or both guess ends.
+        g = guess(T_END, 98)
+        got, paths, rates = replayed_calibration(T_END, 98, spec)
+        want, plain = plain_calibration(T_END, 98, spec)
+        assert repr(got) == repr(want)
+        assert set(rates) <= (plain_rates(T_END, 98, spec) | BRACKET_PROBES
+                              | {g - 1e-13, g + 1e-13})
+        assert paths <= plain + 2
 
     def test_guess_outside_the_bracket(self):
         # The guess 0.16 lies above the bracket's end 0.15, the root below:
