@@ -35,6 +35,10 @@ def write_panel(panel: PricedPanel, mode: str = PAPER_COMPAT) -> str:
             "paper-compat layout requires exactly two sectors")
     if mode == PAPER_COMPAT:
         return _rows(chain.from_iterable(panel.periods), 4, False)
+    for name in panel.sector_names:  # read_panel splits lines, then commas
+        if "," in name or len(f"{name},".splitlines()) > 1:
+            raise ValidationError(f"general layout: sector name {name!r} "
+                                  "holds a comma or a line boundary")
     cols = [f"{c}_{name}" for name in panel.sector_names for c in "YP"]
     rows = zip(panel.period_labels, panel.periods)
     cells = chain.from_iterable(((label,), *period) for label, period in rows)

@@ -375,10 +375,12 @@ def calibrate_constant_growth(
     0's equilibrium goes through the kernel once, which raises its error; a
     path that overflows returns its reason, an overshoot, which reads as an
     infinite endpoint.  The bisection is replayed: the gap's signs at the
-    ends of a window stand in for the paths of the midpoints outside it.
-    The window is the guess target_t_end^(1/years) - 1 -+ 1e-13, the root
-    when both sectors are identical, if the gap's signs at both its ends
-    are strict; else the plain bisection runs.
+    ends of a window stand in for the paths of every rate outside it, the
+    bracket's probes and ends included.  The window is the guess
+    target_t_end^(1/years) - 1 -+ 1e-13, the root when both sectors are
+    identical, if the gap's signs at both its ends are strict; it is tried
+    before the probes when it lies inside the first bracket, else after
+    them.  Without a window the plain bisection runs.
     Returns the schedule, starting in ``START_YEAR``, and the achieved
     constant rate.  Raises ``CalibrationError`` when no rate in the bracket
     reaches the target, the bisection does not converge, the converged
@@ -411,26 +413,34 @@ def calibrate_constant_growth(
         values = solved(rate)  # an overshoot's reason reads as inf
         return math.inf if isinstance(values, str) else values[0][-1]
 
+    # The probes and _bisect branch only on signs, and the endpoint rises
+    # with the rate.  Window: the guess mult_b - 1 -+ 1e-13, in the bracket,
+    # with strict signs at both ends, which then sign every rate outside it,
+    # probes and bracket ends included; else the plain bisection runs.  It
+    # is tried first if it lies in the first bracket, else in the final one.
+    g_lo, g_hi = mult_b - 1.0 - 1e-13, mult_b - 1.0 + 1e-13
+
+    def certified(lo: float, hi: float) -> bool:
+        return (lo < g_lo and g_hi < hi
+                and endpoint(g_lo) < target_t_end < endpoint(g_hi))
+
+    def sign(rate: float) -> float:
+        if window and not g_lo < rate < g_hi:
+            return -1.0 if rate <= g_lo else 1.0
+        return endpoint(rate) - target_t_end
+
+    window = certified(1e-4, 0.15)
     hi = 0.15
-    while endpoint(hi) < target_t_end:
+    while sign(hi) < 0.0:
         hi *= 2.0
         if hi > MAX_CALIBRATED_RATE:
             raise CalibrationError(
                 f"no constant rate up to {hi / 2.0} reaches the endpoint "
                 f"{target_t_end}"
             )
-    lo = 0.0 if endpoint(1e-4) > target_t_end else 1e-4
-    # _bisect branches only on signs, and the endpoint rises with the rate.
-    # Window: the guess mult_b - 1 -+ 1e-13 if both ends' signs are strict,
-    # and then they sign every midpoint outside it; else the window is the
-    # bracket, and the plain bisection runs.
-    w_lo, w_hi = lo, hi
-    g_lo, g_hi = mult_b - 1.0 - 1e-13, mult_b - 1.0 + 1e-13
-    if (lo < g_lo and g_hi < hi
-            and endpoint(g_lo) < target_t_end < endpoint(g_hi)):
-        w_lo, w_hi = g_lo, g_hi
-    rate = _bisect(lambda r: -1.0 if lo < r <= w_lo else 1.0 if w_hi <= r < hi
-                   else endpoint(r) - target_t_end, lo, hi)
+    lo = 0.0 if sign(1e-4) > 0.0 else 1e-4
+    window = certified(lo, hi)  # no new path if the first try was in bounds
+    rate = _bisect(sign, lo, hi)
     values = solved(rate)  # unsolved if just outside the window
     if isinstance(values, str):  # its path overflows
         raise CalibrationError(f"calibrated rate {rate!r}: {values}")

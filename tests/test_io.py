@@ -31,6 +31,10 @@ from gdppath.scenarios import END_YEAR, START_YEAR, T_END
 
 from conftest import outcome
 
+# The line boundaries str.splitlines splits on (the Python library
+# reference, under str.splitlines).
+LINE_BOUNDARIES = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
 
 @st.composite
 def panels(draw):
@@ -170,6 +174,35 @@ class TestGeneral:
         for mode in ([PAPER_COMPAT] if len(panel.sector_names) == 2 else []) + [GENERAL]:
             back = read_panel(write_panel(panel, mode), mode, start_year=0)
             assert_panels_close(panel, back)
+
+    @given(st.lists(st.text(st.sampled_from("A,b \n\r\x85\u2028"),
+                            max_size=4) | st.text(max_size=4),
+                    min_size=1, max_size=3))
+    @example(["A", " B ", ""])
+    def test_names_refused_or_read_back(self, names):
+        # Either write_panel refuses a name that holds a comma or a line
+        # boundary, naming it, or the panel reads back equal.
+        panel = PricedPanel(tuple(names), (((1.0, 2.0),) * len(names),),
+                            (1900,))
+        try:
+            text = write_panel(panel, GENERAL)
+        except ValidationError as exc:
+            refused = [name for name in names if repr(name) in str(exc)]
+            assert refused and set(refused[0]) & {",", *LINE_BOUNDARIES}
+        else:
+            assert read_panel(text, GENERAL) == panel
+
+    @pytest.mark.parametrize("name", ["A,B", "Y_A\nyear", "A\r", "\r\n",
+                                      *LINE_BOUNDARIES])
+    def test_unreadable_name_refused(self, name):
+        # Unguarded, "A,B" wrote a header that read back as the malformed
+        # column pair 'Y_A','B'.
+        panel = PricedPanel((name, "C"), (((1.0, 2.0), (3.0, 4.0)),), (1900,))
+        with pytest.raises(ValidationError) as info:
+            write_panel(panel, GENERAL)
+        assert str(info.value) == (f"general layout: sector name {name!r} "
+                                   "holds a comma or a line boundary")
+        assert write_panel(panel, PAPER_COMPAT)  # that layout has no names
 
 
 class TestScenarioConfig:

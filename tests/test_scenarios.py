@@ -824,13 +824,13 @@ class TestReplayedBisection:
 
     def test_cli_default_path_count(self):
         assert plain_calibration(T_END, 98)[1] == 41
-        assert replayed_calibration(T_END, 98)[1] <= 6
+        assert replayed_calibration(T_END, 98)[1] <= 4
 
     @given(years=st.integers(8, 12), growth=st.floats(0.03, 0.08))
     def test_workload_path_count(self, years, growth):
         # The benchmark's calibrations: the default economy, 8-12 years,
         # 3-8% a year.
-        assert replayed_calibration((1.0 + growth) ** years, years)[1] <= 6
+        assert replayed_calibration((1.0 + growth) ** years, years)[1] <= 4
 
     @pytest.mark.parametrize(
         "target,years", [(8.0, 10), (18.93, 10), (1.001, 98), (1.0001, 98)]
@@ -851,6 +851,30 @@ class TestGuessWindow:
         assert repr(got) == repr(plain_calibration(target, years)[0])
         assert all(abs(r - g) <= 1e-12 for r in rates
                    if r not in BRACKET_PROBES)
+
+    @given(years=st.integers(8, 12), growth=st.floats(0.03, 0.08))
+    @example(years=98, growth=T_END ** (1.0 / 98) - 1.0)  # the CLI default
+    def test_certified_guess_skips_the_probes(self, years, growth):
+        # A guess inside the first bracket [1e-4, 0.15] is tried first; once
+        # certified, its ends sign the bracket probes, and no probe's path
+        # is solved.  The workload's draws and the CLI default.
+        target = (1.0 + growth) ** years
+        g = guess(target, years)
+        assert 1e-4 < g - 1e-13 and g + 1e-13 < 0.15
+        got, _, rates = replayed_calibration(target, years)
+        assert repr(got) == repr(plain_calibration(target, years)[0])
+        assert rates[:2] == [g - 1e-13, g + 1e-13]
+        assert not set(rates) & BRACKET_PROBES
+
+    def test_guess_above_the_first_bracket_solves_the_probes(self):
+        # The guess, about 23% a year, lies above the first bracket's end
+        # 0.15: the probes come first and double the end to 0.3, and then
+        # the guess's window is tried in the final bracket [1e-4, 0.3].
+        g = guess(8.0, 10)
+        assert 0.15 < g - 1e-13 and g + 1e-13 < 0.3
+        got, _, rates = replayed_calibration(8.0, 10)
+        assert repr(got) == repr(plain_calibration(8.0, 10)[0])
+        assert rates[:5] == [0.15, 0.3, 1e-4, g - 1e-13, g + 1e-13]
 
     @pytest.mark.parametrize("spec", [LAMBDA_A_HALF, LAMBDA_B_HALF],
                              ids=["LAMBDA_A_HALF", "LAMBDA_B_HALF"])

@@ -17,7 +17,10 @@ Families:
   shape); on economies drawn like the tests' ``two_sector_specs()``, whose
   sectors mostly differ; and on drawn economies whose sectors are
   identical.  The last two take a target (1 + g)^years, 1-60 years at
-  0.1-30%.  Paths are counted by wrapping ``_constant_growth_path``.
+  0.1-30%.  Then ``huge``: the default economy with a labor force
+  10^U(0, 308.2) and omega in {0, 5, 1e4, 1e5}, on targets up to 1e300
+  over up to 1000 years, where paths overflow or turn NaN.  Paths are
+  counted by wrapping ``_constant_growth_path``.
 - ``panels``: ``generate_panel`` for every island rule, raw and
   normalized, at the rule's longest horizon and at a drawn shorter one.
   Economies are drawn like ``two_sector_specs()``, with labor forces up to
@@ -82,6 +85,25 @@ def _target(rng):
     return (1.0 + rng.uniform(0.001, 0.3)) ** years, years
 
 
+def _huge_target(rng):
+    """A target up to 1e300 over up to 1000 years: half of them drawn as
+    (1 + g)^years with g from 0.1% to 30% (the guess then often lies in the
+    first bracket), half as 10^U(0, 300) (often far above it)."""
+    years = rng.randint(1, 1000)
+    if rng.random() < 0.5:
+        return min((1.0 + rng.uniform(0.001, 0.3)) ** years, 1e300), years
+    return 10.0 ** rng.uniform(0.0, 300.0), years
+
+
+def _huge_params(rng):
+    """The default economy with a labor force 10^U(0, 308.2) and omega in
+    {0, 5, 1e4, 1e5}: outputs, sector A's productivity or the quadratic
+    overflow on some paths, and a NaN path ends the calibration."""
+    return (2.0 / 3.0, 0.055, 2.0 / 3.0, 0.055,
+            10.0 ** rng.uniform(0.0, 308.2), 0.055, 1.6711,
+            rng.choice((0.0, 5.0, 1e4, 1e5)))
+
+
 def _calibration_cases(rng, count):
     yield "default", (), None
     for _ in range(count):
@@ -91,6 +113,8 @@ def _calibration_cases(rng, count):
     for group, identical in (("drawn", False), ("identical", True)):
         for _ in range(count):
             yield group, _target(rng), _drawn_params(rng, identical)
+    for _ in range(count):
+        yield "huge", _huge_target(rng), _huge_params(rng)
 
 
 def _panel_params(rng, kind):
